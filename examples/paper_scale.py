@@ -7,6 +7,10 @@ run takes hours on CPU; the default slice (3 episodes) demonstrates that
 the paper-scale pipeline works and reports the measured steps/sec so the
 full-run cost can be extrapolated.
 
+The environment emits compact states: the constant receptor block is
+stored once, so Table 1's 400k-transition replay memory fits in under a
+gigabyte instead of the 30 GiB of dense raw-state rings.
+
 Run:
     python examples/paper_scale.py [--episodes N] [--max-steps T]
 """
@@ -18,8 +22,8 @@ import time
 
 from repro.chem.builders import build_complex
 from repro.config import PAPER_CONFIG
-from repro.env.docking_env import make_env
-from repro.experiments.figure4 import build_agent
+from repro.env.factory import make_env
+from repro.experiments.figure4 import build_agent_for_env
 from repro.experiments.table1 import render_table1
 from repro.rl.trainer import Trainer
 
@@ -34,6 +38,7 @@ def main() -> None:
     print()
 
     cfg = PAPER_CONFIG.replace(
+        observation_mode="compact",
         episodes=args.episodes,
         max_steps_per_episode=args.max_steps,
         # Learning must start inside the demo slice to exercise the
@@ -55,10 +60,11 @@ def main() -> None:
     env = make_env(cfg, built)
     try:
         print(
-            f"  state vector: {env.state_dim:,} reals "
-            f"(paper: {cfg.state_space:,}); actions: {env.n_actions}"
+            f"  state vector: {env.full_state_dim:,} reals "
+            f"(paper: {cfg.state_space:,}), {env.state_dim:,} stored per "
+            f"transition; actions: {env.n_actions}"
         )
-        agent = build_agent(cfg, env.state_dim, env.n_actions)
+        agent = build_agent_for_env(cfg, env)
         print(f"  Q-network parameters: {agent.q_net.n_parameters():,}")
         trainer = Trainer(
             env,

@@ -25,6 +25,7 @@ including its seed, so every test/bench sees the identical complex.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,10 +63,11 @@ class BuiltComplex:
     pocket_center: np.ndarray
     config: ComplexConfig
 
-    @property
+    @functools.cached_property
     def initial_com_distance(self) -> float:
         """Distance between receptor and initial-ligand centers of mass --
-        the quantity whose 4/3 multiple defines the escape radius."""
+        the quantity whose 4/3 multiple defines the escape radius
+        (computed once per complex)."""
         return float(
             np.linalg.norm(
                 self.ligand_initial.center_of_mass()

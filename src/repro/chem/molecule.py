@@ -36,6 +36,11 @@ class Molecule:
         ``(m, 2)`` int array of atom-index pairs (i < j).
     name:
         Free-form label ("receptor", "ligand", PDB id, ...).
+    masses:
+        Per-atom masses (amu), read-only.  Looked up from the element
+        table once, at construction, when not given; the centre of mass
+        is evaluated on every docking step, so it must not redo the
+        per-atom lookups.
     """
 
     symbols: list[str]
@@ -49,6 +54,7 @@ class Molecule:
         default_factory=lambda: np.empty((0, 2), dtype=np.int64)
     )
     name: str = ""
+    masses: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.symbols)
@@ -77,6 +83,22 @@ class Molecule:
                 raise ValueError("bond indices out of range")
             if (self.bonds[:, 0] == self.bonds[:, 1]).any():
                 raise ValueError("self-bonds are not allowed")
+        if self.masses is None:
+            masses = el.masses(self.symbols)
+        else:
+            masses = np.ascontiguousarray(self.masses, dtype=float)
+            if masses.shape != (n,):
+                raise ValueError(f"masses must have shape ({n},)")
+            if masses.flags.writeable:
+                masses = masses.copy()
+        masses.flags.writeable = False
+        self.masses = masses
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable; keep the masses contract
+        # in worker processes too.
+        self.__dict__.update(state)
+        self.masses.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -104,6 +126,7 @@ class Molecule:
         eps = np.array([e.epsilon for e in elems])
         donor = np.array([e.hbond_donor for e in elems])
         acceptor = np.array([e.hbond_acceptor for e in elems])
+        masses = np.array([e.mass for e in elems], dtype=float)
         if bonds is None:
             bonds = np.empty((0, 2), dtype=np.int64)
         return cls(
@@ -116,6 +139,7 @@ class Molecule:
             hbond_acceptor=acceptor,
             bonds=np.asarray(bonds, dtype=np.int64).reshape(-1, 2),
             name=name,
+            masses=masses,
         )
 
     # -- geometry -----------------------------------------------------------
@@ -128,11 +152,6 @@ class Molecule:
     def n_bonds(self) -> int:
         """Number of bonds."""
         return int(self.bonds.shape[0])
-
-    @property
-    def masses(self) -> np.ndarray:
-        """Per-atom masses (amu)."""
-        return el.masses(self.symbols)
 
     def center_of_mass(self) -> np.ndarray:
         """Mass-weighted centroid."""
@@ -160,8 +179,9 @@ class Molecule:
     def with_coords(self, coords: np.ndarray) -> "Molecule":
         """Copy sharing parameters but with new coordinates.
 
-        Parameter arrays are shared (read-only by convention) so building
-        per-pose molecules during screening does not copy charge/LJ data.
+        Parameter arrays are shared (read-only by convention; the masses
+        are read-only) so building per-pose molecules during screening
+        does not copy charge/LJ/mass data.
         """
         coords = np.ascontiguousarray(coords, dtype=float)
         if coords.shape != self.coords.shape:
@@ -176,6 +196,7 @@ class Molecule:
             hbond_acceptor=self.hbond_acceptor,
             bonds=self.bonds,
             name=self.name,
+            masses=self.masses,
         )
 
     def translated(self, vec) -> "Molecule":
@@ -203,6 +224,7 @@ class Molecule:
             hbond_acceptor=self.hbond_acceptor[idx].copy(),
             bonds=new_bonds,
             name=self.name if name is None else name,
+            masses=self.masses[idx],
         )
 
     @staticmethod
@@ -228,10 +250,12 @@ class Molecule:
             hbond_acceptor=np.concatenate([m.hbond_acceptor for m in mols]),
             bonds=bonds,
             name=name,
+            masses=np.concatenate([m.masses for m in mols]),
         )
 
     def copy(self) -> "Molecule":
-        """Deep copy (all arrays owned)."""
+        """Deep copy (all writeable arrays owned; the read-only masses are
+        shared)."""
         return Molecule(
             symbols=list(self.symbols),
             coords=self.coords.copy(),
@@ -242,6 +266,7 @@ class Molecule:
             hbond_acceptor=self.hbond_acceptor.copy(),
             bonds=self.bonds.copy(),
             name=self.name,
+            masses=self.masses,
         )
 
     def __repr__(self) -> str:

@@ -70,9 +70,10 @@ class DockingEnv:
             raise ValueError("low_score_patience must be >= 1")
         self.engine = engine
         #: Optional :class:`repro.telemetry.spans.SpanTracer`; when set,
-        #: each step records "engine-step" (move + observe) and
-        #: "comm-exchange" spans so the paper's limitation-1 split is
-        #: measurable per run.
+        #: each step records "engine-step" (move + observe),
+        #: "comm-exchange" and "termination" (escape / deep-penetration
+        #: checks) spans so the paper's limitation-1 split is measurable
+        #: per run.
         self.tracer = tracer
         self.escape_factor = float(escape_factor)
         self.low_score_patience = int(low_score_patience)
@@ -155,22 +156,31 @@ class DockingEnv:
         reward = float(np.sign(delta))
         self._last_score = score
 
-        done = False
+        if tr is None:
+            info = self._check_termination(score, delta)
+        else:
+            with tr.span("termination"):
+                info = self._check_termination(score, delta)
+        self.episode_steps += 1
+        self.total_steps += 1
+        return state, reward, "termination" in info, info
+
+    def _check_termination(self, score: float, delta: float) -> dict[str, Any]:
+        """The game rules for the post-step pose: escape, deep penetration.
+
+        Returns the step's info dict; it holds ``"termination"`` exactly
+        when the episode ends.
+        """
         termination = ""
         com_d = self.engine.com_distance()
         if com_d > self._escape_radius:
-            done = True
             termination = "escape"
         if score < self.low_score_threshold:
             self._low_score_streak += 1
             if self._low_score_streak >= self.low_score_patience:
-                done = True
                 termination = termination or "deep-penetration"
         else:
             self._low_score_streak = 0
-
-        self.episode_steps += 1
-        self.total_steps += 1
         info: dict[str, Any] = {
             "score": score,
             "score_delta": delta,
@@ -181,7 +191,7 @@ class DockingEnv:
         }
         if termination:
             info["termination"] = termination
-        return state, reward, done, info
+        return info
 
     # -- introspection ---------------------------------------------------------
     @property

@@ -207,9 +207,7 @@ class DescriptorCodec(StateCodec):
         self._pocket_center = np.asarray(
             engine.built.pocket_center, dtype=np.float64
         )
-        self._receptor_com = np.asarray(
-            engine.receptor.center_of_mass(), dtype=np.float64
-        )
+        self._receptor_com = engine.receptor_com
         dim = pocket_feature_dim(template.n_atoms, template.n_bonds)
         tail = np.asarray(
             compute_descriptors(template).as_vector(), dtype=np.float32

@@ -22,6 +22,11 @@ that have no live successor slot (episode ends, ring wrap, interleaved
 multi-env pushes) spill into a small growable overflow pool.  The same
 400k capacity then costs ~0.9 GB.
 
+The dense layout checks its two state rings against the host's physical
+RAM before allocating, and raises :class:`MemoryError` with the estimate
+and the observation modes that fit, instead of failing (or swapping) on
+the allocation itself.
+
 ``sample()`` gathers into preallocated per-batch-size float32 buffers
 (static prefix pre-filled), so steady-state learning allocates no new
 state arrays.  **The returned state buffers are reused by the next
@@ -31,6 +36,7 @@ sampling again.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,29 @@ from repro.utils.rng import SeedLike, as_generator
 #: ``_next_ref`` codes for compact storage (values >= 0 are overflow rows).
 _SUCC = -1  #: next-state tail aliases the successor slot's state tail
 _PENDING = -2  #: next-state tail lives in ``_pending`` (newest transition)
+
+
+def physical_ram_bytes() -> int | None:
+    """Physical RAM of this host in bytes, or None where unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_dense_fits(capacity: int, state_dim: int, itemsize: int) -> None:
+    """Raise MemoryError if dense state rings exceed physical RAM."""
+    need = 2 * capacity * state_dim * itemsize
+    ram = physical_ram_bytes()
+    if ram is not None and need > ram:
+        raise MemoryError(
+            f"dense replay needs {need / 2**30:.1f} GiB for its state "
+            f"rings (2 x {capacity:,} x {state_dim:,} x {itemsize} B) "
+            f"but this host has {ram / 2**30:.1f} GiB of RAM; use "
+            'observation_mode="compact" (receptor prefix stored once) '
+            'or "descriptor" (pocket-feature states), or lower '
+            "replay_capacity"
+        )
 
 
 @dataclass(frozen=True)
@@ -116,6 +145,9 @@ class ReplayMemory:
         self._ones: dict[int, np.ndarray] = {}
 
         if static_prefix is None:
+            _check_dense_fits(
+                self.capacity, self.state_dim, self._dtype.itemsize
+            )
             self._compact = False
             self._states = np.zeros((capacity, state_dim), dtype=self._dtype)
             self._next_states = np.zeros(

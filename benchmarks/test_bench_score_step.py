@@ -1,4 +1,4 @@
-"""Bench: per-step pose scoring -- exact vs cutoff vs incremental vs field.
+"""Bench: per-step pose scoring -- exact vs incremental vs field.
 
 The environment step is dominated by one ``scorer.score(coords)`` call;
 this bench measures that call at full 2BSM scale (3,264-atom receptor,
@@ -9,7 +9,8 @@ this bench measures that call at full 2BSM scale (3,264-atom receptor,
 Alongside throughput it records the accuracy figures the scoring
 policy (docs/PERFORMANCE.md, "Scoring kernels") promises:
 
-- the incremental scorer tracks the cutoff scorer at the same cutoff to
+- the incremental scorer tracks the dense truncation oracle
+  (``repro.scoring.reference.truncated_score``) at the same cutoff to
   ~1e-15 relative (bound: ``DRIFT_REL_BOUND``) -- same pair set, same
   formulas, only floating-point association differs;
 - cutoff truncation vs the exact scorer is the *cutoff's* accuracy
@@ -50,7 +51,8 @@ from repro.scoring.incremental import (
     DRIFT_REL_BOUND,
     IncrementalScorer,
 )
-from repro.scoring.scorers import CutoffScorer, ExactScorer
+from repro.scoring.reference import truncated_score
+from repro.scoring.scorers import ExactScorer
 
 #: Artifact path (repo root under plain pytest; override via env).
 ARTIFACT = Path(
@@ -140,7 +142,6 @@ def test_bench_score_step(paper_complex):
     poses = _trajectory(built, N_POSES)
 
     exact = ExactScorer(rec, lig)
-    cutoff = CutoffScorer(rec, lig, cutoff=DEFAULT_CUTOFF)
     inc = IncrementalScorer(
         rec, lig, cutoff=DEFAULT_CUTOFF, skin=DEFAULT_SKIN
     )
@@ -149,7 +150,9 @@ def test_bench_score_step(paper_complex):
     fld32 = FieldScorer(rec, lig, dtype="float32")
 
     rate_exact, s_exact = _measure(exact, poses)
-    rate_cutoff, s_cutoff = _measure(cutoff, poses)
+    s_oracle = np.array(
+        [truncated_score(rec, lig, p, DEFAULT_CUTOFF) for p in poses]
+    )
     inc.rebuild_count = 0
     rate_inc, s_inc = _measure(inc, poses)
     rate_field, s_field = _measure(fld, poses)
@@ -164,21 +167,19 @@ def test_bench_score_step(paper_complex):
     # batches through the fused score_batch kernels.  Every batch path
     # is bitwise-equal to the single-pose scores measured above.
     rate_field_batch, sb_field = _measure_batch(fld, poses)
-    rate_cutoff_batch, sb_cutoff = _measure_batch(cutoff, poses)
     inc_batch = IncrementalScorer(
         rec, lig, cutoff=DEFAULT_CUTOFF, skin=DEFAULT_SKIN
     )
     rate_inc_batch, sb_inc = _measure_batch(inc_batch, poses)
     assert np.array_equal(sb_field, s_field)
-    assert np.array_equal(sb_cutoff, s_cutoff)
     assert np.array_equal(sb_inc, s_inc)
     # rebuild rate over one pass (the count accumulated PASSES+warmup
     # passes over the same trajectory, so normalize by total calls).
     total_inc_calls = PASSES * N_POSES + 20
     rebuild_rate = inc.rebuild_count / total_inc_calls
 
-    # Accuracy, part 1: incremental vs cutoff at the same cutoff.
-    rel = np.abs(s_inc - s_cutoff) / np.maximum(1.0, np.abs(s_cutoff))
+    # Accuracy, part 1: incremental vs the dense oracle, same cutoff.
+    rel = np.abs(s_inc - s_oracle) / np.maximum(1.0, np.abs(s_oracle))
     max_rel_inc_vs_cutoff = float(rel.max())
 
     # Accuracy, part 2: truncation vs exact on per-step score changes
@@ -230,13 +231,11 @@ def test_bench_score_step(paper_complex):
         "cutoff": DEFAULT_CUTOFF,
         "skin": DEFAULT_SKIN,
         "exact_steps_per_second": round(rate_exact, 2),
-        "cutoff_steps_per_second": round(rate_cutoff, 2),
         "incremental_steps_per_second": round(rate_inc, 2),
         "speedup_incremental_vs_exact": round(rate_inc / rate_exact, 3),
-        "speedup_incremental_vs_cutoff": round(rate_inc / rate_cutoff, 3),
         "rebuild_count": inc.rebuild_count,
         "rebuild_rate": round(rebuild_rate, 4),
-        "max_rel_drift_incremental_vs_cutoff": max_rel_inc_vs_cutoff,
+        "max_rel_drift_incremental_vs_oracle": max_rel_inc_vs_cutoff,
         "calm_steps": int(calm.sum()),
         "calm_step_delta_drift_vs_exact": round(calm_step_drift, 3),
         "clash_rel_delta_drift_vs_exact": clash_rel_drift,
@@ -260,10 +259,6 @@ def test_bench_score_step(paper_complex):
         "field_batch_poses_per_second": round(rate_field_batch, 2),
         "speedup_field_batch_vs_single": round(
             rate_field_batch / rate_field, 3
-        ),
-        "cutoff_batch_poses_per_second": round(rate_cutoff_batch, 2),
-        "speedup_cutoff_batch_vs_single": round(
-            rate_cutoff_batch / rate_cutoff, 3
         ),
         "incremental_batch_poses_per_second": round(rate_inc_batch, 2),
         "speedup_incremental_batch_vs_single": round(

@@ -1,14 +1,16 @@
-"""Bench: scorer-method ablation (exact vs cutoff vs grid).
+"""Bench: scorer-method ablation (exact vs incremental truncation).
 
-The engine's speed/accuracy dial, quantified: per-pose latency and
-score error of each method against the exact Eq. 1 evaluation -- the CPU
-analogue of METADOCK's windowed-GPU evaluation choices.
+The engine's speed/accuracy dial, quantified: per-pose latency of each
+method and the incremental scorer's truncation error against the exact
+Eq. 1 evaluation -- the CPU analogue of METADOCK's windowed-GPU
+evaluation choices.
 """
 
 import numpy as np
 import pytest
 
-from repro.scoring.scorers import CutoffScorer, ExactScorer, GridScorer
+from repro.scoring.incremental import IncrementalScorer
+from repro.scoring.scorers import ExactScorer
 
 
 @pytest.fixture(scope="module")
@@ -25,33 +27,24 @@ def test_bench_exact_scorer(benchmark, scorer_setup):
     assert np.isfinite(s)
 
 
-def test_bench_cutoff_scorer(benchmark, scorer_setup):
+def test_bench_incremental_scorer(benchmark, scorer_setup):
     rec, template, coords = scorer_setup
-    scorer = CutoffScorer(rec, template, cutoff=12.0)
-    s = benchmark(scorer.score, coords)
-    assert np.isfinite(s)
-
-
-def test_bench_grid_scorer(benchmark, scorer_setup):
-    rec, template, coords = scorer_setup
-    scorer = GridScorer(rec, template, spacing=1.0)
+    scorer = IncrementalScorer(rec, template, cutoff=12.0)
     s = benchmark(scorer.score, coords)
     assert np.isfinite(s)
 
 
 def test_scorer_accuracy_ladder(scorer_setup):
-    """Shifted-cutoff error shrinks with radius; grid error is bounded."""
+    """Shifted-cutoff error shrinks with radius, under 5% at 20 A."""
     rec, template, coords = scorer_setup
     exact = ExactScorer(rec, template).score(coords)
     rows = []
     for cutoff in (12.0, 16.0, 20.0):
-        s = CutoffScorer(rec, template, cutoff=cutoff).score(coords)
-        rows.append((f"cutoff {cutoff:.0f} A", s, abs(s - exact)))
-    g = GridScorer(rec, template, spacing=1.0).score(coords)
-    rows.append(("grid 1.0 A", g, abs(g - exact)))
+        s = IncrementalScorer(rec, template, cutoff=cutoff).score(coords)
+        rows.append((f"incremental {cutoff:.0f} A", s, abs(s - exact)))
     print(f"\nexact score: {exact:.3f}")
     for name, s, err in rows:
-        print(f"  {name:<14} score {s:10.3f}   |err| {err:8.3f}")
-    errs = [r[2] for r in rows[:3]]
+        print(f"  {name:<16} score {s:10.3f}   |err| {err:8.3f}")
+    errs = [r[2] for r in rows]
     assert errs[2] <= errs[1] <= errs[0]
     assert errs[2] < 0.05 * max(abs(exact), 1.0)

@@ -35,6 +35,7 @@ import sys
 from typing import Sequence
 
 from repro.config import ci_scale_config
+from repro.scoring.scorers import SCORING_METHODS
 from repro.version import __version__
 
 
@@ -78,7 +79,7 @@ def _add_scoring_method(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scoring-method",
         default="exact",
-        choices=["exact", "cutoff", "grid", "incremental", "field"],
+        choices=SCORING_METHODS,
         help="pose-scoring kernel (incremental = Verlet-list scorer, "
         "field = hybrid precomputed-field scorer; see "
         "docs/PERFORMANCE.md, 'Scoring kernels')",
@@ -513,16 +514,21 @@ def _cmd_blind(args) -> int:
 def _cmd_curriculum(args) -> int:
     from repro.experiments.curriculum import run_curriculum_experiment
 
-    cfg = ci_scale_config(
-        episodes=args.episodes,
-        seed=args.seed,
-        learning_rate=0.002,
-        scoring_method=getattr(args, "scoring_method", "exact"),
-        trainer=getattr(args, "trainer", "sync"),
-        # One actor per training complex; keeps config validation happy
-        # and makes the broadcast alignment explicit in the manifest.
-        num_actors=max(1, args.complexes),
-    )
+    try:
+        cfg = ci_scale_config(
+            episodes=args.episodes,
+            seed=args.seed,
+            learning_rate=0.002,
+            scoring_method=getattr(args, "scoring_method", "exact"),
+            trainer=getattr(args, "trainer", "sync"),
+            # One actor per training complex; keeps config validation
+            # happy and makes the broadcast alignment explicit in the
+            # manifest.
+            num_actors=max(1, args.complexes),
+        )
+    except ValueError as exc:
+        print(f"curriculum: {exc}", file=sys.stderr)
+        return 2
 
     def work(telemetry, runtime):
         result = run_curriculum_experiment(

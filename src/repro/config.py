@@ -142,12 +142,11 @@ class DQNDockingConfig:
     #: features, ~270 dims; see :mod:`repro.env.observation` and
     #: docs/OBSERVATIONS.md).
     observation_mode: str = "raw"
-    #: Pose-scoring kernel: "exact" (full Eq. 1, the correctness
-    #: reference), "cutoff" (cell-list truncation), "grid" (precomputed
-    #: fields), "incremental" (Verlet-list scorer, see
-    #: :mod:`repro.scoring.incremental`) or "field" (hybrid
-    #: precomputed-field scorer with an exact near-field path, see
-    #: :mod:`repro.scoring.field` and docs/PERFORMANCE.md).
+    #: Pose-scoring kernel, one of ``repro.scoring.SCORING_METHODS``:
+    #: "exact" (full Eq. 1, the correctness reference), "incremental"
+    #: (Verlet-list scorer, see :mod:`repro.scoring.incremental`) or
+    #: "field" (hybrid precomputed-field scorer with an exact near-field
+    #: path, see :mod:`repro.scoring.field` and docs/PERFORMANCE.md).
     scoring_method: str = "exact"
     #: Extra keyword arguments forwarded to the scorer constructor
     #: (e.g. ``{"cutoff": 12.0, "skin": 3.0}`` for "incremental").
@@ -221,25 +220,13 @@ class DQNDockingConfig:
                 "compact_states is not supported with the distributional "
                 "variant (C51 keeps the dense float64 replay)"
             )
-        # Literal set (not repro.scoring.SCORING_METHODS) to avoid a
-        # config -> scoring import cycle; a scoring test asserts the two
-        # stay in sync.
-        if self.scoring_method not in {
-            "exact", "cutoff", "grid", "incremental", "field"
-        }:
-            raise ValueError(
-                f"unknown scoring_method {self.scoring_method!r}"
-            )
-        # Validate scoring_kwargs against the scorer registry so typos
-        # fail here rather than deep inside a worker.  Deferred import:
+        # The scorer registry rejects unknown methods and mistyped
+        # kwargs here rather than deep inside a worker.  Deferred import:
         # DQNDockingConfig is bound before module-level PAPER_CONFIG
-        # instantiates, so the cycle resolves; guard anyway.
-        try:
-            from repro.scoring.scorers import validate_scoring_kwargs
-        except ImportError:  # pragma: no cover - partial installs
-            pass
-        else:
-            validate_scoring_kwargs(self.scoring_method, self.scoring_kwargs)
+        # instantiates, so the config -> scoring cycle resolves.
+        from repro.scoring.scorers import validate_scoring_kwargs
+
+        validate_scoring_kwargs(self.scoring_method, self.scoring_kwargs)
         if self.trainer not in {"sync", "actor-learner"}:
             raise ValueError(f"unknown trainer {self.trainer!r}")
         if self.num_actors < 1:

@@ -65,9 +65,9 @@ class MetadockEngine:
         in the paper.  Disabling it shrinks the NN input without changing
         the MDP (the block is constant).
     scoring_method / scoring_kwargs:
-        Pose-scorer selection ("exact" default, "cutoff", "grid",
-        "incremental"; see :mod:`repro.scoring.scorers`) -- the engine's
-        speed/accuracy dial.
+        Pose-scorer selection ("exact" default, "incremental", "field";
+        see :mod:`repro.scoring.scorers`) -- the engine's speed/accuracy
+        dial.
     """
 
     def __init__(

@@ -22,10 +22,11 @@ that have no live successor slot (episode ends, ring wrap, interleaved
 multi-env pushes) spill into a small growable overflow pool.  The same
 400k capacity then costs ~0.9 GB.
 
-The dense layout checks its two state rings against the host's physical
-RAM before allocating, and raises :class:`MemoryError` with the estimate
-and the observation modes that fit, instead of failing (or swapping) on
-the allocation itself.
+Both layouts check their state rings (dense: two full rings; compact:
+the dynamic tail ring) against the host's physical RAM before
+allocating, and raise :class:`MemoryError` with the estimate and the
+observation modes that fit, instead of failing (or swapping) on the
+allocation itself.
 
 ``sample()`` gathers into preallocated per-batch-size float32 buffers
 (static prefix pre-filled), so steady-state learning allocates no new
@@ -56,18 +57,31 @@ def physical_ram_bytes() -> int | None:
         return None
 
 
-def _check_dense_fits(capacity: int, state_dim: int, itemsize: int) -> None:
-    """Raise MemoryError if dense state rings exceed physical RAM."""
-    need = 2 * capacity * state_dim * itemsize
+def _check_rings_fit(
+    layout: str, capacity: int, width: int, itemsize: int
+) -> None:
+    """Raise MemoryError if a layout's state rings exceed physical RAM.
+
+    Dense replay keeps two full rings (states and next states); compact
+    replay keeps one ring of dynamic tails.
+    """
+    rings = 2 if layout == "dense" else 1
+    need = rings * capacity * width * itemsize
     ram = physical_ram_bytes()
     if ram is not None and need > ram:
+        shape = f"{capacity:,} x {width:,} x {itemsize} B"
+        if layout == "dense":
+            shape = f"2 x {shape}"
+            modes = (
+                'observation_mode="compact" (receptor prefix stored '
+                'once) or "descriptor" (pocket-feature states)'
+            )
+        else:
+            modes = 'observation_mode="descriptor" (pocket-feature states)'
         raise MemoryError(
-            f"dense replay needs {need / 2**30:.1f} GiB for its state "
-            f"rings (2 x {capacity:,} x {state_dim:,} x {itemsize} B) "
-            f"but this host has {ram / 2**30:.1f} GiB of RAM; use "
-            'observation_mode="compact" (receptor prefix stored once) '
-            'or "descriptor" (pocket-feature states), or lower '
-            "replay_capacity"
+            f"{layout} replay needs {need / 2**30:.1f} GiB for its state "
+            f"rings ({shape}) but this host has {ram / 2**30:.1f} GiB "
+            f"of RAM; use {modes}, or lower replay_capacity"
         )
 
 
@@ -145,8 +159,8 @@ class ReplayMemory:
         self._ones: dict[int, np.ndarray] = {}
 
         if static_prefix is None:
-            _check_dense_fits(
-                self.capacity, self.state_dim, self._dtype.itemsize
+            _check_rings_fit(
+                "dense", self.capacity, self.state_dim, self._dtype.itemsize
             )
             self._compact = False
             self._states = np.zeros((capacity, state_dim), dtype=self._dtype)
@@ -167,6 +181,9 @@ class ReplayMemory:
             self._static.flags.writeable = False
             self._prefix_len = static.shape[0]
             self._tail_dim = self.state_dim - self._prefix_len
+            _check_rings_fit(
+                "compact", self.capacity, self._tail_dim, self._dtype.itemsize
+            )
             #: One dynamic ring: slot i holds the *state* tail of
             #: transition i; next-state tails resolve via ``_next_ref``.
             self._dyn = np.zeros(

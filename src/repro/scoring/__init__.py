@@ -12,13 +12,16 @@ separately:
 (*negated* total energy, so clashes are huge negatives and good poses
 approach the paper's "+500 at most").  :mod:`repro.scoring.reference` is
 the paper's sequential Algorithm 1, kept as the parity oracle and the
-baseline for the vectorization speedup bench.  :mod:`repro.scoring.
-neighborlist` and :mod:`repro.scoring.grid` are the cutoff and
-precomputed-grid accelerations (BINDSURF-style).
+baseline for the vectorization speedup bench, plus the dense cutoff
+oracle :func:`~repro.scoring.reference.truncated_score`.  The two fast
+scorers are :mod:`repro.scoring.incremental` (Verlet pair list over the
+:mod:`repro.scoring.neighborlist` cell list) and
+:mod:`repro.scoring.field` (precomputed receptor maps, BINDSURF-style).
 """
 
 from repro.scoring.composite import (
     ScoreBreakdown,
+    as_pose_batch,
     interaction_energy,
     interaction_score,
     score_pose_batch,
@@ -27,18 +30,17 @@ from repro.scoring.electrostatics import electrostatic_energy
 from repro.scoring.lennard_jones import lennard_jones_energy
 from repro.scoring.hbond import hbond_energy
 from repro.scoring.neighborlist import CellList
-from repro.scoring.grid import PotentialGrid
 from repro.scoring.field import FieldMaps, FieldScorer, score_field_group
 from repro.scoring.incremental import IncrementalScorer
-from repro.scoring.reference import sequential_score_algorithm1
+from repro.scoring.reference import (
+    sequential_score_algorithm1,
+    truncated_score,
+)
 from repro.scoring.scorers import (
     SCORER_REGISTRY,
     SCORING_METHODS,
-    CutoffScorer,
     ExactScorer,
-    GridScorer,
     ScorerEntry,
-    as_pose_batch,
     make_scorer,
     score_pose_group,
     validate_scoring_kwargs,
@@ -53,16 +55,14 @@ __all__ = [
     "lennard_jones_energy",
     "hbond_energy",
     "CellList",
-    "PotentialGrid",
     "FieldMaps",
     "FieldScorer",
     "score_field_group",
     "score_pose_group",
     "as_pose_batch",
     "sequential_score_algorithm1",
+    "truncated_score",
     "ExactScorer",
-    "CutoffScorer",
-    "GridScorer",
     "IncrementalScorer",
     "ScorerEntry",
     "SCORER_REGISTRY",

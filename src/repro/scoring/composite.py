@@ -170,13 +170,27 @@ def interaction_score(receptor: Molecule, ligand: Molecule, **kw) -> float:
     return interaction_breakdown(receptor, ligand, **kw).score
 
 
+def as_pose_batch(coords_batch: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Validate a many-pose array into float64 ``(k, n_atoms, 3)``.
+
+    The shared front door of every scorer's ``score_batch``: one
+    place for the shape/dtype contract, so empty batches (``k == 0``)
+    can short-circuit *before* any lazy structure (field maps, scoring
+    tables) is built.
+    """
+    cb = np.asarray(coords_batch, dtype=float)
+    if cb.ndim != 3 or cb.shape[1:] != (n_atoms, 3):
+        raise ValueError(
+            f"coords_batch must have shape (k, {n_atoms}, 3)"
+        )
+    return cb
+
+
 def score_pose_batch(
     receptor: Molecule,
     ligand: Molecule,
     coords_batch: np.ndarray,
     *,
-    include_hbond: bool = True,
-    chunk: int = 16,
     tables: ScoringTables | None = None,
 ) -> np.ndarray:
     """Scores for ``k`` ligand coordinate sets against one receptor.
@@ -189,15 +203,9 @@ def score_pose_batch(
     is **bitwise-equal** to ``interaction_score(receptor,
     ligand.with_coords(coords_batch[i]))`` while the per-call table
     construction (the dominant fixed cost of a singles loop) is
-    amortized across the batch.  ``chunk`` is retained for API
-    compatibility; evaluation is per pose.
+    amortized across the batch.
     """
-    del chunk  # bitwise-per-pose evaluation needs no chunked temporaries
-    cb = np.asarray(coords_batch, dtype=float)
-    if cb.ndim != 3 or cb.shape[1:] != (ligand.n_atoms, 3):
-        raise ValueError(
-            f"coords_batch must have shape (k, {ligand.n_atoms}, 3)"
-        )
+    cb = as_pose_batch(coords_batch, ligand.n_atoms)
     k = cb.shape[0]
     out = np.empty(k)
     if k == 0:
@@ -206,12 +214,11 @@ def score_pose_batch(
     t = tables if tables is not None else ScoringTables.build(
         receptor, ligand
     )
-    use_hb = include_hbond and t.rows_any
     for i in range(k):
         d = pairwise_distances(receptor.coords, cb[i])
         e = elec.electrostatic_energy(receptor.charges, ligand.charges, d)
         e += lj.lennard_jones_energy_pre(t.sig_full, t.eps_full, d)
-        if use_hb:
+        if t.rows_any:
             cos_t, sin_t = hb.hbond_angle_factors(
                 t.rec_sub, cb[i], t.dirs_sub
             )

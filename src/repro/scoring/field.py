@@ -18,18 +18,16 @@ given *type* is a pure scalar field of position and can be tabulated:
 - per distinct ligand ``(sigma, epsilon)`` type one repulsion /
   dispersion map pair ``rep_t(x) = sum_j 4 sqrt(eps_j eps_t)
   ((sigma_j+sigma_t)/2)^12 / r_j^12`` and the ``^6`` analogue -- the
-  *exact* Lorentz-Berthelot arithmetic-sigma combination, removing the
-  geometric-mean model error of :class:`~repro.scoring.grid
-  .PotentialGrid`;
+  *exact* Lorentz-Berthelot arithmetic-sigma combination (no
+  geometric-mean approximation that would let LJ factorize);
 - per H-bond eligibility class (ligand donor/acceptor flags) an
   angular-weighted 12-10 map ``sum_j cos(theta_j(x)) (C/r^12 -
   D/r^10)`` over the class-eligible receptor atoms, plus per (type x
   class) the ``(1 - sin(theta_j(x)))``-weighted repulsion/dispersion
   pair carrying the ``- (1 - sin) e_lj`` part of the Eq. 1 correction.
   ``theta_j(x)`` depends only on the receptor donor direction and the
-  grid position, so the full angular term tabulates exactly -- the
-  second documented ``PotentialGrid`` model error (no H-bond term)
-  disappears.
+  grid position, so the full angular term tabulates exactly (the
+  H-bond term is not dropped or made isotropic).
 
 Near field (exact pairwise)
 ---------------------------
@@ -54,10 +52,9 @@ the actual ``r < clash_radius`` pairs (the table is validated against
 ``CellList`` in the tests).  The clash-dominating terms are therefore
 computed exactly, pair by pair, while everything smooth stays two
 table lookups per atom.  Atoms outside the grid box always take the
-exact full-column path -- no silent boundary clamp (the documented
-``PotentialGrid._trilinear`` behavior, counted by
-``scoring/grid_oob_points`` there); box padding exceeds
-``clash_radius``, so out-of-box atoms can have no overlapping pairs.
+exact full-column path -- no silent clamp to the box boundary; box
+padding exceeds ``clash_radius``, so out-of-box atoms can have no
+overlapping pairs.
 
 Error budget (PR 5 truncation-policy style)
 -------------------------------------------
@@ -98,9 +95,8 @@ from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
 from repro.scoring import electrostatics as elec
 from repro.scoring import hbond as hb
 from repro.scoring import lennard_jones as lj
-from repro.scoring.composite import ScoringTables
+from repro.scoring.composite import ScoringTables, as_pose_batch
 from repro.scoring.pairwise import direction_vectors, pairwise_distances
-from repro.scoring.scorers import as_pose_batch
 
 #: Default lattice spacing, angstrom.  The error-vs-spacing table in
 #: docs/PERFORMANCE.md motivates the default: with the clipped kernels
@@ -178,8 +174,8 @@ class FieldMaps:
 
     One instance serves every ligand scored against its receptor:
     screening workers build it once per worker and pass it to each
-    :class:`FieldScorer` via ``cells=`` (mirroring the cell-list /
-    potential-grid sharing of the other scorers).  ``ensure`` builds
+    :class:`FieldScorer` via ``cells=`` (mirroring the cell-list
+    sharing of the incremental scorer).  ``ensure`` builds
     only the maps missing for a ligand's type set; each map's content
     is independent of which other types share a build pass, so shared
     and private builds are bitwise identical.

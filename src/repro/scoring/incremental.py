@@ -43,12 +43,13 @@ bit-identical floats for the same coordinates (pinned by
 using ``--scoring-method incremental`` stays bit-stable per
 ``docs/CHECKPOINTS.md``.
 
-Accuracy matches :class:`repro.scoring.scorers.CutoffScorer` at the
-same ``cutoff`` to within :data:`DRIFT_REL_BOUND` (same pair set, same
-per-pair formulas; only floating-point association differs).  The
-truncation error *versus the exact scorer* is the cutoff's accuracy
-knob, shared with ``CutoffScorer`` and quantified per cutoff in
-``docs/PERFORMANCE.md`` and ``benchmarks/test_bench_score_step.py``.
+Accuracy matches the dense truncation oracle
+:func:`repro.scoring.reference.truncated_score` at the same ``cutoff``
+to within :data:`DRIFT_REL_BOUND` (same pair set, same per-pair
+formulas; only floating-point association differs).  The truncation
+error *versus the exact scorer* is the cutoff's accuracy knob,
+quantified per cutoff in ``docs/PERFORMANCE.md`` and
+``benchmarks/test_bench_score_step.py``.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ import numpy as np
 from repro.chem.molecule import Molecule
 from repro.constants import COULOMB_CONSTANT, DEFAULT_CUTOFF, MIN_DISTANCE
 from repro.scoring import hbond as hb
+from repro.scoring.composite import as_pose_batch
 from repro.scoring.neighborlist import CellList, query_pairs
 from repro.scoring.pairwise import direction_vectors
-from repro.scoring.scorers import as_pose_batch
 
 #: Default Verlet skin, angstrom.  With the paper's 1 A shift actions a
 #: 3 A skin re-lists every 2-4 shift steps in the worst case and far
@@ -70,8 +71,9 @@ from repro.scoring.scorers import as_pose_batch
 DEFAULT_SKIN: float = 3.0
 
 #: Documented bound on the relative score drift of the incremental
-#: scorer versus the cutoff reference implementation at the same cutoff
-#: (``max |inc - cutoff| / max(1, |cutoff|)``): identical pair set and
+#: scorer versus the dense truncation oracle at the same cutoff
+#: (``max |inc - ref| / max(1, |ref|)``, ``ref`` from
+#: :func:`repro.scoring.reference.truncated_score`): identical pair set and
 #: per-pair arithmetic, so only floating-point association differs.
 #: Measured ~1e-15 on the 2BSM-scale bench trajectory; enforced by
 #: benchmarks/test_bench_score_step.py.  The error versus the *exact*
@@ -94,12 +96,13 @@ class IncrementalScorer:
         The static receptor and the ligand template (topology and
         charges; coordinates arrive per call).
     cutoff:
-        Interaction cutoff in angstrom — the accuracy knob, identical
-        in meaning to :class:`CutoffScorer`'s.
+        Interaction cutoff in angstrom — the accuracy knob (pairs
+        with ``r <= cutoff`` are scored, as in ``truncated_score``).
     skin:
         Extra list radius in angstrom — the cadence knob.
     shifted:
-        Use the energy-shifted Coulomb form (matches ``CutoffScorer``).
+        Use the energy-shifted Coulomb form ``k q_i q_j (1/r - 1/Rc)``,
+        continuous at the cutoff (matches ``truncated_score``).
     cell_size:
         Receptor cell-list bin edge; ``None`` picks ``(cutoff+skin)/2``,
         which measured fastest for list-radius-sized queries (bins equal

@@ -11,6 +11,10 @@ Eq. 1 terms, serving two purposes:
 2. *Baseline* -- ``benchmarks/test_bench_scoring.py`` measures the
    speedup of the vectorized path over this loop, the Python analogue of
    the paper's sequential-vs-GPU comparison.
+
+:func:`truncated_score` is the dense oracle for cutoff truncation: Eq. 1
+restricted to the pairs within a cutoff, taken from the full distance
+matrix.  The incremental scorer's drift bound is measured against it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from repro.chem.molecule import Molecule
 from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
+from repro.scoring import hbond as hb
 from repro.scoring.hbond import HBOND_DEPTH, HBOND_R0, hbond_coefficients
 from repro.scoring.pairwise import direction_vectors
 
@@ -111,3 +116,66 @@ def sequential_score_algorithm1(
                     scoring += cos_t * e_1210 - (1.0 - sin_t) * e_lj
         scores.append(-scoring)
     return scores
+
+
+def truncated_score(
+    receptor: Molecule,
+    ligand: Molecule,
+    coords: np.ndarray,
+    cutoff: float,
+    *,
+    shifted: bool = True,
+) -> float:
+    """Eq. 1 score over the receptor-ligand pairs within ``cutoff``.
+
+    Pairs are ``np.nonzero(d2 <= cutoff**2)`` of the full (m, n)
+    squared-distance matrix -- the same squared-distance test
+    :func:`repro.scoring.neighborlist.query_pairs` applies, so pairs on
+    the cutoff sphere agree with the cell-list scorers.  ``shifted``
+    uses the energy-shifted Coulomb form ``k q_i q_j (1/r - 1/Rc)``,
+    continuous at the cutoff; unshifted, a cutoff beyond every pair
+    distance gives the full Eq. 1 score.  ``ligand`` supplies topology
+    and charges, ``coords`` its (m, 3) pose.
+    """
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    lig = np.asarray(coords, dtype=float)
+    rec = receptor
+    diff_all = lig[:, None, :] - rec.coords[None, :, :]  # (m, n, 3)
+    flat = diff_all.reshape(-1, 3)
+    d2 = np.einsum("ij,ij->i", flat, flat).reshape(diff_all.shape[:2])
+    lig_idx, rec_idx = np.nonzero(d2 <= cutoff * cutoff)
+    if rec_idx.size == 0:
+        return 0.0
+    diff = diff_all[lig_idx, rec_idx]
+    r = np.maximum(np.sqrt(d2[lig_idx, rec_idx]), MIN_DISTANCE)
+    inv = 1.0 / r
+    if shifted:
+        inv = inv - 1.0 / cutoff
+    qq = rec.charges[rec_idx] * ligand.charges[lig_idx]
+    e_el = COULOMB_CONSTANT * qq * inv
+    sigma = 0.5 * (rec.sigma[rec_idx] + ligand.sigma[lig_idx])
+    eps = np.sqrt(rec.epsilon[rec_idx] * ligand.epsilon[lig_idx])
+    x6 = (sigma / r) ** 6
+    e_lj = 4.0 * eps * (x6 * x6 - x6)
+    energy = float(e_el.sum()) + float(e_lj.sum())
+    eligible = hb.eligible_pairs_mask(
+        rec.hbond_donor,
+        rec.hbond_acceptor,
+        ligand.hbond_donor,
+        ligand.hbond_acceptor,
+    )[rec_idx, lig_idx]
+    if eligible.any():
+        u = diff[eligible]
+        dirs = direction_vectors(rec.coords, rec.bonds)[rec_idx[eligible]]
+        cos = (dirs * u).sum(axis=1) / np.maximum(
+            np.linalg.norm(u, axis=1), 1e-9
+        )
+        cos[(np.abs(dirs) < 1e-12).all(axis=1)] = 1.0
+        np.clip(cos, 0.0, 1.0, out=cos)
+        sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+        c_hb, d_hb = hbond_coefficients()
+        r_el = r[eligible]
+        e_1210 = c_hb / r_el**12 - d_hb / r_el**10
+        energy += float((cos * e_1210 - (1.0 - sin) * e_lj[eligible]).sum())
+    return -energy

@@ -15,13 +15,12 @@ into the run directory as they land:
 
 Receptor-side scorer state is built once per worker and shared across
 every ligand that worker screens: the receptor
-:class:`~repro.scoring.neighborlist.CellList` feeds all cutoff /
-incremental scorers through their ``cells=`` parameter, so a
-3k-atom-receptor screen bins the receptor ``workers`` times, not
-``n_ligands`` times.  "grid" shares one
-:class:`~repro.scoring.grid.PotentialGrid` and "field" one
-:class:`~repro.scoring.field.FieldMaps` bundle the same way (field
-maps additionally grow lazily across ligands with new atom types).
+:class:`~repro.scoring.neighborlist.CellList` feeds all incremental
+scorers through their ``cells=`` parameter, so a 3k-atom-receptor
+screen bins the receptor ``workers`` times, not ``n_ligands`` times.
+"field" shares one :class:`~repro.scoring.field.FieldMaps` bundle the
+same way (maps additionally grow lazily across ligands with new atom
+types).
 
 Resumability: with a :class:`~repro.runtime.loop.RuntimeContext`
 attached, every completed shard is memoized in ``results.json`` under a
@@ -213,38 +212,25 @@ def _init_worker(
 
 
 def _receptor_cells(config: ScreeningConfig, receptor):
-    """The shared receptor-side cache for cell/grid scoring methods.
+    """The shared receptor-side cache for the method, or None.
 
-    A :class:`CellList` for "cutoff"/"incremental" (bin sizes match
-    what each scorer would build for itself, so sharing changes nothing
-    about pair membership or ordering), a prebuilt
-    :class:`~repro.scoring.grid.PotentialGrid` for "grid" (the grid
-    depends only on the receptor, so one build serves every ligand the
-    worker screens), or a :class:`~repro.scoring.field.FieldMaps` bundle
-    for "field" (maps grow lazily per distinct ligand atom type; library
-    ligands share the element palette, so most builds are no-ops after
-    the first ligand) -- results stay bit-identical to per-ligand
+    A :class:`CellList` for "incremental" (bin size matches what the
+    scorer would build for itself, so sharing changes nothing about pair
+    membership or ordering), or a :class:`~repro.scoring.field.FieldMaps`
+    bundle for "field" (maps grow lazily per distinct ligand atom type;
+    library ligands share the element palette, so most builds are no-ops
+    after the first ligand) -- results stay bit-identical to per-ligand
     construction either way.
     """
     kwargs = config.scoring_kwargs or {}
-    if config.scoring_method == "cutoff":
-        cutoff = float(kwargs.get("cutoff", DEFAULT_CUTOFF))
-        size = kwargs.get("cell_size") or cutoff / 2.0
-    elif config.scoring_method == "incremental":
+    if config.scoring_method == "incremental":
         from repro.scoring.incremental import DEFAULT_SKIN
 
         cutoff = float(kwargs.get("cutoff", DEFAULT_CUTOFF))
         skin = float(kwargs.get("skin", DEFAULT_SKIN))
         size = kwargs.get("cell_size") or (cutoff + skin) / 2.0
-    elif config.scoring_method == "grid":
-        from repro.scoring.grid import PotentialGrid
-
-        return PotentialGrid(
-            receptor,
-            spacing=float(kwargs.get("spacing", 1.0)),
-            padding=float(kwargs.get("padding", 6.0)),
-        )
-    elif config.scoring_method == "field":
+        return CellList(receptor.coords, cell_size=float(size))
+    if config.scoring_method == "field":
         from repro.scoring.field import (
             DEFAULT_CLASH_RADIUS,
             DEFAULT_DTYPE,
@@ -262,9 +248,7 @@ def _receptor_cells(config: ScreeningConfig, receptor):
             ),
             dtype=str(kwargs.get("dtype", DEFAULT_DTYPE)),
         )
-    else:
-        return None
-    return CellList(receptor.coords, cell_size=float(size))
+    return None
 
 
 def _worker_scoring_kwargs(worker: dict) -> dict:

@@ -17,7 +17,7 @@ class TestEnvWithAlternateScorers:
             small_complex,
             shift_length=0.8,
             rotation_angle_deg=5.0,
-            scoring_method="cutoff",
+            scoring_method="incremental",
             scoring_kwargs={"cutoff": 14.0},
         )
         env = DockingEnv(engine)
@@ -31,7 +31,7 @@ class TestEnvWithAlternateScorers:
     def test_cutoff_env_rewards_still_unit(self, small_complex):
         engine = MetadockEngine(
             small_complex,
-            scoring_method="cutoff",
+            scoring_method="incremental",
             scoring_kwargs={"cutoff": 10.0},
         )
         env = DockingEnv(engine)

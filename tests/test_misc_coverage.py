@@ -43,16 +43,15 @@ class TestRandomizedReset:
 
 class TestCutoffBruteForceParity:
     def test_matches_masked_full_sum(self, small_complex):
-        """Cutoff scorer == full Eq. 1 restricted to in-range pairs."""
+        """Truncation oracle == full Eq. 1 restricted to in-range pairs."""
         from repro.constants import COULOMB_CONSTANT, MIN_DISTANCE
-        from repro.scoring.scorers import CutoffScorer
+        from repro.scoring.reference import truncated_score
 
         rec = small_complex.receptor
         lig = small_complex.ligand_crystal
         template = lig.with_coords(lig.coords - lig.centroid())
         cutoff = 9.0
-        scorer = CutoffScorer(rec, template, cutoff=cutoff, shifted=False)
-        got = scorer.score(lig.coords)
+        got = truncated_score(rec, template, lig.coords, cutoff, shifted=False)
 
         # Brute force: all pairs within the cutoff.
         d = np.linalg.norm(

@@ -201,12 +201,24 @@ class TestDenseReplayFailsFast:
         monkeypatch.setattr(replay_mod, "physical_ram_bytes", lambda: 1 << 30)
         assert len(ReplayMemory(1000, 1000)) == 0
 
-    def test_compact_ring_not_checked(self, monkeypatch):
+    def test_compact_ring_that_fits_allocates(self, monkeypatch):
+        # Only the 10-float tail ring counts: 1000 x 10 x 4 B < 1 MiB.
         monkeypatch.setattr(replay_mod, "physical_ram_bytes", lambda: 1 << 20)
         mem = ReplayMemory(
             1000, 1000, static_prefix=np.zeros(990, dtype=np.float32)
         )
         assert mem.is_compact
+
+    def test_compact_ring_raises_with_estimate(self, monkeypatch):
+        monkeypatch.setattr(replay_mod, "physical_ram_bytes", lambda: 1 << 20)
+        with pytest.raises(MemoryError) as exc:
+            ReplayMemory(
+                1000, 1000, static_prefix=np.zeros(500, dtype=np.float32)
+            )
+        msg = str(exc.value)
+        assert msg.startswith("compact replay")
+        assert "(1,000 x 500 x 4 B)" in msg
+        assert '"descriptor"' in msg and "replay_capacity" in msg
 
     def test_unknown_ram_allocates(self, monkeypatch):
         monkeypatch.setattr(replay_mod, "physical_ram_bytes", lambda: None)

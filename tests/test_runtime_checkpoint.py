@@ -520,6 +520,30 @@ class TestCliResume:
         assert main(["resume", str(tmp_path / "nowhere")]) == 1
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["figure4", "curriculum", "screen"])
+    @pytest.mark.parametrize("method", ["grid", "cutoff"])
+    def test_resume_removed_scoring_method_exits_2(
+        self, tmp_path, capsys, command, method
+    ):
+        """A run recorded with a since-removed scorer fails cleanly."""
+        from repro.cli import build_parser, main
+        from repro.scoring import SCORING_METHODS
+
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        cli_args = vars(build_parser().parse_args([command]))
+        cli_args.update(scoring_method=method, log_dir=str(run_dir))
+        manifest = {
+            "run_id": "old",
+            "status": "interrupted",
+            "extra": {"cli_args": cli_args},
+        }
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["resume", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert repr(method) in err and str(SCORING_METHODS) in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_sigterm_subprocess_resume(self, tmp_path):
         """Real signal path: SIGTERM -> exit 130 -> resume completes."""
         import subprocess

@@ -8,12 +8,11 @@ exercise each scorer across the regimes that take different code paths:
   fast paths);
 - *clash* poses with a ligand atom placed exactly on a receptor atom
   (``MIN_DISTANCE`` clamps, field near-field pair corrections);
-- *out-of-box* poses far outside any grid/field box (exact-column
-  fallbacks, grid boundary clamps);
+- *out-of-box* poses far outside the field box (exact-column
+  fallbacks);
 - a *mixed* batch concatenating all three.
 
-Also pinned: empty-batch fast paths (no lazy structure built), batch
-shape validation, eager ``GridScorer`` dtype validation, per-pose
+Also pinned: empty-batch fast paths, batch shape validation, per-pose
 ``near_fraction`` / histogram telemetry in field batch mode, and the
 cross-ligand ``score_field_group`` / ``score_pose_group`` front doors.
 """
@@ -32,7 +31,6 @@ from repro.scoring.field import (
 )
 from repro.scoring.scorers import (
     ExactScorer,
-    GridScorer,
     SCORING_METHODS,
     make_scorer,
     score_pose_group,
@@ -68,7 +66,7 @@ def test_batch_bitwise_matches_singles(small_complex, rng, method):
         ref = np.array([single_scorer.score(p) for p in cb])
         assert np.array_equal(got, ref), method
     # Re-scoring the mixed batch on the now-warm scorer (Verlet cache,
-    # built grid/maps) must reproduce the same floats.
+    # built maps) must reproduce the same floats.
     mixed = batches[-1]
     first = batch_scorer.score_batch(mixed)
     assert np.array_equal(batch_scorer.score_batch(mixed), first)
@@ -80,9 +78,9 @@ def test_empty_batch_short_circuits(small_complex, method):
     scorer = make_scorer(method, small_complex.receptor, lig)
     out = scorer.score_batch(np.empty((0, lig.n_atoms, 3)))
     assert out.shape == (0,)
-    if method == "grid":
-        # k == 0 must return before triggering the lazy grid build.
-        assert scorer._grid is None
+    if method == "field":
+        # k == 0 must return before triggering the lazy map build.
+        assert scorer._maps.phi is None
 
 
 @pytest.mark.parametrize("method", SCORING_METHODS)
@@ -93,15 +91,6 @@ def test_batch_shape_validated(small_complex, method):
         scorer.score_batch(np.zeros((2, lig.n_atoms + 1, 3)))
     with pytest.raises(ValueError, match="coords_batch"):
         scorer.score_batch(np.zeros((lig.n_atoms, 3)))
-
-
-def test_grid_dtype_validated_eagerly(small_complex):
-    with pytest.raises(ValueError, match="dtype"):
-        GridScorer(
-            small_complex.receptor,
-            small_complex.ligand_crystal,
-            dtype="float16",
-        )
 
 
 def test_field_batch_near_fraction_and_histogram(small_complex, rng):
@@ -174,7 +163,7 @@ def test_score_pose_group_mixed_scorers(small_complex, rng):
         FieldScorer(rec, lig, cells=maps),
         make_scorer("incremental", rec, lig),
         FieldScorer(rec, lig, cells=maps),
-        make_scorer("cutoff", rec, lig),
+        make_scorer("incremental", rec, lig, cutoff=8.0),
     ]
     entries = [
         (

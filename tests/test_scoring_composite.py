@@ -110,11 +110,14 @@ class TestBatchScoring:
             assert scores[k] == pytest.approx(expected, rel=1e-9)
 
     def test_chunking_consistent(self):
+        # Splitting a batch into caller-side chunks changes no float.
         a, b = random_molecules(9)
         batch = np.stack([b.coords + [k * 0.5, 0, 0] for k in range(10)])
-        full = score_pose_batch(a, b, batch, chunk=64)
-        tiny = score_pose_batch(a, b, batch, chunk=3)
-        np.testing.assert_allclose(full, tiny, rtol=1e-12)
+        full = score_pose_batch(a, b, batch)
+        tiny = np.concatenate(
+            [score_pose_batch(a, b, batch[i : i + 3]) for i in range(0, 10, 3)]
+        )
+        assert np.array_equal(full, tiny)
 
     def test_shape_validated(self):
         a, b = random_molecules(10)
@@ -122,15 +125,16 @@ class TestBatchScoring:
             score_pose_batch(a, b, np.zeros((2, b.n_atoms + 1, 3)))
 
     def test_hbond_toggle(self):
-        # Guaranteed donor/acceptor pair at H-bond range.
+        # Guaranteed donor/acceptor pair at H-bond range: the batch
+        # path includes the H-bond term.
         a = Molecule.from_symbols(
             ["N", "C"], [[0.0, 0, 0], [1.4, 0, 0]], bonds=[[0, 1]]
         )
         b = Molecule.from_symbols(["O"], [[-2.9, 0.0, 0.0]])
-        close = np.stack([b.coords])
-        with_hb = score_pose_batch(a, b, close, include_hbond=True)
-        without = score_pose_batch(a, b, close, include_hbond=False)
-        assert with_hb[0] != pytest.approx(without[0])
+        parts = interaction_breakdown(a, b)
+        assert parts.hydrogen_bond != pytest.approx(0.0)
+        batch = score_pose_batch(a, b, np.stack([b.coords]))
+        assert batch[0] == parts.score
 
     def test_empty_batch(self):
         a, b = random_molecules(12)

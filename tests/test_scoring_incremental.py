@@ -2,7 +2,8 @@
 
 The load-bearing properties (see ``repro/scoring/incremental.py``):
 
-- trajectory equivalence with the cutoff reference *across rebuild
+- trajectory equivalence with the dense truncation oracle
+  (:func:`~repro.scoring.reference.truncated_score`) *across rebuild
   boundaries* to the documented :data:`DRIFT_REL_BOUND`;
 - bit-stable cache independence — a warm scorer and a fresh scorer
   agree bitwise at every pose (checkpoint safety: the pair list is
@@ -32,13 +33,8 @@ from repro.scoring.incremental import (
     IncrementalScorer,
 )
 from repro.scoring.neighborlist import CellList, query_pairs
-from repro.scoring.scorers import (
-    SCORING_METHODS,
-    CutoffScorer,
-    ExactScorer,
-    GridScorer,
-    make_scorer,
-)
+from repro.scoring.reference import truncated_score
+from repro.scoring.scorers import SCORING_METHODS, ExactScorer, make_scorer
 
 
 @pytest.fixture(scope="module")
@@ -112,14 +108,14 @@ class TestQueryPairs:
 
 class TestTrajectoryEquivalence:
     def _walk(self, rec, template, coords, moves, tol=DRIFT_REL_BOUND):
-        """Score a pose sequence with incremental vs cutoff reference."""
+        """Score a pose sequence with incremental vs the dense oracle."""
         inc = _fresh(rec, template)
-        ref = CutoffScorer(rec, template, cutoff=10.0)
         pose = coords.copy()
         worst = 0.0
         for mv in moves:
             pose = mv(pose)
-            si, sc = inc.score(pose), ref.score(pose)
+            si = inc.score(pose)
+            sc = truncated_score(rec, template, pose, 10.0)
             worst = max(worst, abs(si - sc) / max(1.0, abs(sc)))
         assert worst <= tol, worst
         return inc
@@ -165,18 +161,19 @@ class TestTrajectoryEquivalence:
             scoring_method="incremental",
             scoring_kwargs={"cutoff": 10.0, "skin": 2.0},
         )
-        ref = CutoffScorer(eng.receptor, eng.template, cutoff=10.0)
         rng = np.random.default_rng(5)
         for _ in range(50):
             eng.apply_action(int(rng.integers(0, eng.n_actions)))
             si = eng.score()
-            sc = ref.score(eng.ligand_coords())
+            sc = truncated_score(
+                eng.receptor, eng.template, eng.ligand_coords(), 10.0
+            )
             assert abs(si - sc) <= DRIFT_REL_BOUND * max(1.0, abs(sc))
 
     def test_env_episode_with_sphere_exit(self, small_complex):
         # Drive a real DockingEnv on the incremental scorer straight out
-        # of the escape sphere; per-step scores must track the cutoff
-        # reference the whole way and the episode must terminate.
+        # of the escape sphere; per-step scores must track the dense
+        # truncation oracle the whole way and the episode must terminate.
         eng = MetadockEngine(
             small_complex,
             shift_length=0.8,
@@ -185,12 +182,13 @@ class TestTrajectoryEquivalence:
             scoring_kwargs={"cutoff": 10.0, "skin": 2.0},
         )
         env = DockingEnv(eng)
-        ref = CutoffScorer(eng.receptor, eng.template, cutoff=10.0)
         env.reset()
         done = False
         for _ in range(200):
             _, _, done, info = env.step(0)  # march along +x
-            sc = ref.score(eng.ligand_coords())
+            sc = truncated_score(
+                eng.receptor, eng.template, eng.ligand_coords(), 10.0
+            )
             assert abs(info["score"] - sc) <= DRIFT_REL_BOUND * max(
                 1.0, abs(sc)
             )
@@ -206,6 +204,71 @@ class TestTrajectoryEquivalence:
             rec, template, cutoff=1000.0, skin=2.0, shifted=False
         ).score(coords)
         assert full == pytest.approx(exact, rel=1e-9)
+
+    def test_oracle_matches_exact_with_huge_cutoff(self, pair, rng):
+        rec, template, coords = pair
+        exact = ExactScorer(rec, template)
+        for pose in (coords, coords + rng.normal(scale=0.8, size=(1, 3))):
+            want = exact.score(pose)
+            got = truncated_score(rec, template, pose, 1e4, shifted=False)
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert truncated_score(rec, template, coords + 500.0, 8.0) == 0.0
+        with pytest.raises(ValueError, match="cutoff"):
+            truncated_score(rec, template, coords, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# truncation semantics of the shifted/unshifted cutoff form
+
+
+class TestTruncation:
+    def test_converges_to_exact(self, pair):
+        rec, template, coords = pair
+        exact = ExactScorer(rec, template).score(coords)
+        errors = []
+        for cutoff in (6.0, 12.0, 24.0):
+            approx = _fresh(rec, template, cutoff=cutoff).score(coords)
+            errors.append(abs(approx - exact))
+        assert errors[-1] <= errors[0]
+        assert errors[-1] < 0.05 * max(abs(exact), 1.0)
+
+    def test_huge_unshifted_cutoff_is_exact(self, pair):
+        rec, template, coords = pair
+        exact = ExactScorer(rec, template).score(coords)
+        full = _fresh(
+            rec, template, cutoff=1000.0, shifted=False
+        ).score(coords)
+        assert full == pytest.approx(exact, rel=1e-9)
+
+    def test_shift_vanishes_with_cutoff(self, pair):
+        rec, template, coords = pair
+        exact = ExactScorer(rec, template).score(coords)
+        shifted = _fresh(rec, template, cutoff=1e6).score(coords)
+        assert shifted == pytest.approx(exact, rel=1e-4)
+
+    def test_far_pose_scores_zero(self, pair):
+        rec, template, coords = pair
+        scorer = _fresh(rec, template, cutoff=8.0)
+        assert scorer.score(coords + 500.0) == 0.0
+
+    def test_batch_matches_single(self, pair, rng):
+        rec, template, coords = pair
+        scorer = _fresh(rec, template)
+        batch = coords[None] + rng.normal(scale=1.0, size=(3, 1, 3))
+        out = scorer.score_batch(batch)
+        for k in range(3):
+            assert out[k] == pytest.approx(scorer.score(batch[k]))
+
+    def test_invalid_cutoff(self, pair):
+        rec, template, _ = pair
+        with pytest.raises(ValueError):
+            _fresh(rec, template, cutoff=0.0)
+
+    def test_clash_still_catastrophic(self, pair):
+        rec, template, _coords = pair
+        scorer = _fresh(rec, template)
+        clash = np.tile(rec.coords[0], (template.n_atoms, 1))
+        assert scorer.score(clash) < -1e6
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +373,7 @@ class TestPlumbing:
         assert "incremental" in SCORING_METHODS
 
     def test_config_validates_against_factory_methods(self):
-        # The config keeps a literal copy of SCORING_METHODS (import
-        # cycle); this pins the two sets together.
+        # The config validates through the scorer registry.
         for method in SCORING_METHODS:
             ci_scale_config(episodes=1, scoring_method=method)
         with pytest.raises(ValueError, match="scoring_method"):
@@ -354,11 +416,12 @@ class TestPlumbing:
         )
         assert args.scoring_method == "incremental"
         args = p.parse_args(
-            ["curriculum", "--scoring-method", "cutoff"]
+            ["curriculum", "--scoring-method", "field"]
         )
-        assert args.scoring_method == "cutoff"
-        with pytest.raises(SystemExit):
-            p.parse_args(["figure4", "--scoring-method", "verlet"])
+        assert args.scoring_method == "field"
+        for removed in ("verlet", "cutoff", "grid"):
+            with pytest.raises(SystemExit):
+                p.parse_args(["figure4", "--scoring-method", removed])
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +489,9 @@ class TestSatelliteEquality:
             score_pose_batch(rec, template, batch),
         )
 
-    def test_cutoff_batch_bitwise(self, pair, rng):
+    def test_zero_pair_pose_batch_bitwise(self, pair, rng):
         rec, template, coords = pair
-        scorer = CutoffScorer(rec, template, cutoff=10.0)
+        scorer = _fresh(rec, template)
         batch = np.concatenate(
             [
                 coords[None] + rng.normal(scale=1.0, size=(4, 1, 3)),
@@ -438,19 +501,9 @@ class TestSatelliteEquality:
         singles = np.array([scorer.score(c) for c in batch])
         assert np.array_equal(scorer.score_batch(batch), singles)
 
-    def test_grid_batch_bitwise(self, pair, rng):
-        rec, template, coords = pair
-        scorer = GridScorer(rec, template)
-        batch = coords[None] + rng.normal(scale=1.0, size=(5, 1, 3))
-        singles = np.array([scorer.score(c) for c in batch])
-        assert np.array_equal(scorer.score_batch(batch), singles)
-
     def test_batch_shape_validation(self, pair):
         rec, template, coords = pair
-        for scorer in (
-            CutoffScorer(rec, template, cutoff=10.0),
-            GridScorer(rec, template),
-        ):
+        for scorer in (ExactScorer(rec, template), _fresh(rec, template)):
             with pytest.raises(ValueError, match="coords_batch"):
                 scorer.score_batch(coords)
 

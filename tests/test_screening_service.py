@@ -152,7 +152,7 @@ def test_unknown_strategy_raises(built, library):
 
 def test_shared_cells_scoring_matches_per_ligand(built, library):
     # The worker-shared receptor cell list must not change any score.
-    for method in ("cutoff", "incremental"):
+    for method in ("incremental", "field"):
         shared = run_screening(
             built,
             library[:3],

@@ -51,9 +51,20 @@ the actual ``r < clash_radius`` pairs (the table is validated against
 :func:`~repro.scoring.neighborlist.query_pairs` on a receptor
 ``CellList`` in the tests).  The clash-dominating terms are therefore
 computed exactly, pair by pair, while everything smooth stays two
-table lookups per atom.  Atoms outside the grid box always take the
-exact full-column path -- no silent clamp to the box boundary; box
-padding exceeds ``clash_radius``, so out-of-box atoms can have no
+table lookups per atom.
+
+The box and its lazy bricks
+---------------------------
+The lattice box is the receptor extent plus :data:`DEFAULT_PADDING`
+(44 A) on every side, sized so the box of the paper-scale complex
+contains the whole episode: the escape sphere (4/3 x the initial COM
+distance) grown by a 45-atom ligand's radius and one step.  Node
+values are computed only in bricks of ``BRICK**3`` nodes that an
+interpolation corner touches, on first touch -- a trajectory builds
+the volume it visits, and volume never visited costs one brick-table
+entry, so the large box is free.  Atoms outside the box still take
+the exact full-column path -- no silent clamp to the box boundary;
+box padding exceeds ``clash_radius``, so out-of-box atoms can have no
 overlapping pairs.
 
 Error budget (PR 5 truncation-policy style)
@@ -75,15 +86,21 @@ docs/PERFORMANCE.md ("Scoring kernels").
 Bit-stability (checkpoint safety)
 ---------------------------------
 Maps are *derived* state: never checkpointed, resumed runs start cold.
-Every map's content is a pure function of (receptor, geometry, atom
-type) -- each is accumulated independently of which other types share a
-build pass -- the overlap-pair enumeration follows the candidate
-table's canonical atom-major-then-receptor-ascending order, and the
-pair corrections are pure functions of the pose, so a warm (shared /
-previously-built) scorer and a cold one
-produce bit-identical floats for the same coordinates (pinned by
-``tests/test_scoring_field.py``), and interrupt/resume under
-``--scoring-method field`` stays bit-exact per docs/CHECKPOINTS.md.
+Which bricks exist, and in which order they were built, depends on
+what was scored before -- so every node value must be a pure function
+of (receptor, node position, atom type) alone.  It is: each value is
+accumulated independently of which other types or bricks share a
+build pass, squared distances are formed per axis, and every per-node
+reduction runs through ``np.einsum`` rather than BLAS (a BLAS GEMV's
+per-row result depends on the chunk's row count and thread count).
+The overlap-pair enumeration follows the candidate lists' canonical
+node-major, receptor-ascending order, and the pair corrections are
+pure functions of the pose, so a warm (shared / previously-built)
+scorer and a cold one produce bit-identical floats for the same
+coordinates, whatever the build order, grouping or BLAS thread count
+(pinned by ``tests/test_scoring_field.py``), and interrupt/resume
+under ``--scoring-method field`` stays bit-exact per
+docs/CHECKPOINTS.md.
 """
 
 from __future__ import annotations
@@ -106,12 +123,17 @@ from repro.scoring.pairwise import direction_vectors, pairwise_distances
 #: *slowed* the gather at 2BSM scale).
 DEFAULT_SPACING: float = 1.0
 #: Default box padding beyond the receptor extent, angstrom.  Sized so
-#: docking trajectories (hundreds of 1 A moves from a pocket pose) stay
-#: inside the box: out-of-box atoms fall back to exact full columns,
-#: which is correct but ~200x slower per atom.  Must exceed
-#: ``clash_radius`` so out-of-box atoms cannot have overlapping pairs
-#: (enforced at construction).
-DEFAULT_PADDING: float = 16.0
+#: the box of the paper-scale complex (``ComplexConfig()``) contains
+#: the whole episode: the escape sphere (4/3 x the initial COM
+#: distance, ~46.7 A around the receptor COM, reaching ~29.1 A past
+#: the receptor extent on the pocket side) plus the radius of a
+#: 45-atom library ligand (<= ~11.6 A) plus one 1 A step is ~41.7 A.
+#: Out-of-box atoms fall back to exact full columns, which is correct
+#: but ~200x slower per atom; bricks are built lazily, so volume never
+#: visited costs one brick-table entry.  Must exceed ``clash_radius``
+#: so out-of-box atoms cannot have overlapping pairs (enforced at
+#: construction).
+DEFAULT_PADDING: float = 44.0
 #: Default near-field (exact-pair) radius, angstrom.  Map kernels are
 #: clipped at this distance; pairs closer than it are rescored through
 #: the exact pairwise path.  Beyond it the clipped fields are smooth
@@ -133,15 +155,50 @@ FIELD_CALM_STEP_BOUND: float = 25.0
 #: interpolated remainder differs (measured ~8e-5 at the defaults).
 FIELD_CLASH_REL_BOUND: float = 1e-3
 
-#: Gauge reporting the built field maps' memory footprint (maps plus
-#: the per-ligand combined interpolation stack).
+#: Gauge reporting the field maps' memory footprint (brick table plus
+#: every allocated per-brick array).
 FIELD_BYTES_METRIC = "scoring/field_bytes"
 #: Histogram over the per-call fraction of ligand atoms routed through
 #: the exact pairwise path (overlapping or out-of-box atoms;
 #: ``repro inspect`` renders its mean/max).
 NEAR_FRACTION_METRIC = "scoring/near_field_fraction"
 
+#: Counter of ligand atoms scored outside the box (full exact columns).
+OOB_ATOMS_METRIC = "scoring/field_oob_atoms"
+#: Counter of in-box ligand atoms with overlapping pairs (exact pair
+#: corrections).
+NEAR_ATOMS_METRIC = "scoring/field_near_atoms"
+#: Gauge of the built fraction of the box's bricks (built / total).
+BRICKS_METRIC = "scoring/field_bricks"
+
 _VALID_DTYPES = ("float32", "float64")
+
+#: Nodes per brick edge.  A built brick holds BRICK**3 nodes: small
+#: bricks keep a trajectory from building much beyond the volume it
+#: visits (8^3 bricks would build ~2.4x the nodes of a policy screen),
+#: and one brick's (nodes x receptor atoms) temporaries stay a few MB.
+BRICK = 4
+BRICK_NODES = BRICK**3
+#: Local (x, y, z) node offsets inside a brick, in local-index order
+#: (z fastest), and the strides mapping them back to the local index.
+_LOCAL3 = np.stack(
+    np.unravel_index(np.arange(BRICK_NODES), (BRICK,) * 3), axis=1
+)
+_LOCAL_STRIDES = np.array([BRICK * BRICK, BRICK, 1], dtype=np.int64)
+#: The 8 voxel corners in trilinear weight order (z fastest).
+_CORNERS = np.array(
+    [[dx, dy, dz] for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+)
+
+
+def _with_rows(a: np.ndarray, n: int) -> np.ndarray:
+    """``a``, or a zero-padded copy with at least ``n`` rows (capacity
+    doubles, so appending rows one build at a time stays linear)."""
+    if n <= a.shape[0]:
+        return a
+    out = np.zeros((max(n, 2 * a.shape[0]),) + a.shape[1:], dtype=a.dtype)
+    out[: a.shape[0]] = a
+    return out
 
 
 def _atom_type_specs(ligand: Molecule) -> tuple[list[tuple], np.ndarray]:
@@ -170,15 +227,27 @@ def _atom_type_specs(ligand: Molecule) -> tuple[list[tuple], np.ndarray]:
 
 
 class FieldMaps:
-    """Lazily grown per-type receptor field maps on one shared lattice.
+    """Lazily built, brick-tiled per-type receptor field maps.
+
+    The lattice spans the receptor extent plus ``padding`` on every
+    side, but node values exist only in *bricks* of ``BRICK**3`` nodes
+    that an interpolation corner has touched: :meth:`ensure` builds the
+    bricks under a batch of points, and fills a newly seen atom-type
+    spec in on every brick already built.  Each built brick owns one
+    row of :attr:`values` -- ``[phi, combined(spec 0), combined(spec
+    1), ...]`` x ``BRICK**3`` nodes, contiguous -- plus that brick's
+    near-field CSR candidate lists (node-major, receptor atoms
+    ascending) in :attr:`cand_start` / :attr:`cand_count` /
+    :attr:`cand_atoms`.  :attr:`brick_slot` maps a brick index to its
+    row, or -1 while unbuilt.
 
     One instance serves every ligand scored against its receptor:
     screening workers build it once per worker and pass it to each
     :class:`FieldScorer` via ``cells=`` (mirroring the cell-list
-    sharing of the incremental scorer).  ``ensure`` builds
-    only the maps missing for a ligand's type set; each map's content
-    is independent of which other types share a build pass, so shared
-    and private builds are bitwise identical.
+    sharing of the incremental scorer).  Every node value is a pure
+    function of (receptor, node position, spec), whatever the build
+    order, grouping or BLAS thread count, so shared and private builds
+    are bitwise identical.
     """
 
     def __init__(
@@ -221,28 +290,42 @@ class FieldMaps:
         #: candidates provably has no receptor atom within clash_radius
         #: (node-to-anywhere-in-voxel <= spacing * sqrt(3)).
         self.flag_radius = self.clash_radius + self.spacing * np.sqrt(3.0)
-        # Type-independent content, built on the first ensure() pass.
-        self.phi: np.ndarray | None = None
-        self.near_mask: np.ndarray | None = None
-        # Voxel-granular cell list (CSR over flat node ids): receptor
-        # atoms within flag_radius of each voxel's base node.
-        self.cand_start: np.ndarray | None = None
-        self.cand_count: np.ndarray | None = None
-        self.cand_atoms: np.ndarray | None = None
-        # Per-type / per-class maps (lazily grown).
-        self._lj: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._hb1210: dict[tuple, np.ndarray] = {}
-        self._hblj: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        # Combined-stack addressing: every distinct atom-type spec ever
-        # ensured gets a stable slot in one shared flattened stack
-        # ([phi, combined(spec 0), combined(spec 1), ...]), so *every*
-        # ligand scored against this receptor gathers from the same
-        # array -- the property the fused cross-ligand batch path
-        # (:func:`score_field_group`) relies on.  Slots are append-only;
-        # the stack is (re)assembled lazily in :meth:`flat_stack`.
+        self._inv_spacing = 1.0 / self.spacing
+        self._upper = self.shape.astype(float) - 1.0
+        self._max_idx = self.shape - 2
+        # Brick grid and the per-(base-local-node, corner) addressing
+        # tables: corner k of a voxel whose base node sits at local
+        # position l of brick b lies at local position _corner_local[l,
+        # k] of brick b + _corner_dbrick[l, k].
+        grid = -(-self.shape // BRICK)
+        self.brick_grid = grid
+        self.n_bricks = int(np.prod(grid))
+        self._brick_strides = np.array(
+            [grid[1] * grid[2], grid[2], 1], dtype=np.int64
+        )
+        corner = _LOCAL3[:, None, :] + _CORNERS[None, :, :]
+        cross = corner >= BRICK
+        self._corner_dbrick = cross.astype(np.int64) @ self._brick_strides
+        self._corner_local = (corner - BRICK * cross) @ _LOCAL_STRIDES
+        #: Brick table: brick index -> row of the per-brick arrays, -1
+        #: while unbuilt.
+        self.brick_slot = np.full(self.n_bricks, -1, dtype=np.int64)
+        #: Built bricks (rows in use of the per-brick arrays below).
+        self.n_built = 0
+        # Per-brick storage, rows grown by doubling.  values[row, 0]
+        # is phi; values[row, 1 + slot_of(spec)] is that spec's full
+        # non-electrostatic clipped-field energy.
+        self.values = np.empty((0, 1, BRICK_NODES), dtype=self._np_dtype)
+        self.cand_start = np.empty((0, BRICK_NODES), dtype=np.int64)
+        self.cand_count = np.empty((0, BRICK_NODES), dtype=np.int32)
+        self.cand_atoms = np.empty(0, dtype=np.int32)
+        self._cand_used = 0
+        # Combined-slot addressing: every distinct atom-type spec ever
+        # ensured gets a stable slot, so every ligand scored against
+        # this receptor gathers from the same array -- the property the
+        # fused cross-ligand batch path (:func:`score_field_group`)
+        # relies on.  Slots are append-only.
         self._slot: dict[tuple, int] = {}
-        self._flat_stack: np.ndarray | None = None
-        self._flat_slots = -1
         # H-bond receptor topology: full-length outward directions for
         # the pair corrections, plus the donor/acceptor subset the map
         # build iterates over.
@@ -252,8 +335,9 @@ class FieldMaps:
         rel = np.flatnonzero(receptor.hbond_donor | receptor.hbond_acceptor)
         self._hrel = rel
         self._hdirs = dirs_full[rel]
-        self._hiso = self.iso_full[rel]
-        self._hdot = (self._hdirs * receptor.coords[rel]).sum(axis=1)
+        self._haniso = np.flatnonzero(~self.iso_full[rel])
+        self._rec_xyz = [np.ascontiguousarray(c) for c in receptor.coords.T]
+        self._work: dict | None = None
         self.build_count = 0
 
     # -- class topology ----------------------------------------------------
@@ -276,263 +360,327 @@ class FieldMaps:
         return np.flatnonzero(elig)
 
     # -- accessors ---------------------------------------------------------
-    def lj_maps(self, key: tuple[float, float]):
-        """(repulsion, dispersion) maps for ligand type ``key``."""
-        return self._lj[key]
-
-    def hb1210_map(self, cls: tuple[bool, bool]) -> np.ndarray:
-        """cos-weighted 12-10 map for eligibility class ``cls``."""
-        return self._hb1210[cls]
-
-    def hb_lj_maps(self, key: tuple[float, float], cls: tuple[bool, bool]):
-        """(1-sin)-weighted (repulsion, dispersion) maps for type x class."""
-        return self._hblj[(key, cls)]
-
     def nbytes(self) -> int:
-        """Total map storage in bytes (including the clash-voxel table
-        and the shared combined interpolation stack)."""
-        total = 0
-        if self.phi is not None:
-            total += self.phi.nbytes + self.near_mask.nbytes
-            total += (
-                self.cand_start.nbytes
-                + self.cand_count.nbytes
-                + self.cand_atoms.nbytes
+        """Map storage in bytes: the brick table plus every allocated
+        per-brick array (values and the clash-voxel CSR table)."""
+        return sum(
+            a.nbytes
+            for a in (
+                self.brick_slot,
+                self.values,
+                self.cand_start,
+                self.cand_count,
+                self.cand_atoms,
             )
-        for rep, disp in self._lj.values():
-            total += rep.nbytes + disp.nbytes
-        for arr in self._hb1210.values():
-            total += arr.nbytes
-        for rep, disp in self._hblj.values():
-            total += rep.nbytes + disp.nbytes
-        if self._flat_stack is not None:
-            total += self._flat_stack.nbytes
-        return total
+        )
 
     def slot_of(self, spec: tuple) -> int:
-        """Combined-stack slot of an ensured atom-type spec."""
+        """Combined-value slot of an ensured atom-type spec."""
         return self._slot[spec]
 
-    def flat_stack(self) -> np.ndarray:
-        """The flattened shared stack [phi, combined(slot 0), ...].
+    # -- addressing --------------------------------------------------------
+    def locate(self, pts: np.ndarray):
+        """``(in_box, idx, t)`` for ``(n, 3)`` points: the in-box mask,
+        each point's voxel base node (clipped into the lattice) and its
+        fractional offset inside that voxel."""
+        frac = (pts - self.origin) * self._inv_spacing
+        in_box = ((frac >= 0.0) & (frac <= self._upper)).all(axis=1)
+        idx = np.floor(frac).astype(np.int64)
+        np.clip(idx, 0, self._max_idx, out=idx)
+        return in_box, idx, frac - idx
 
-        Rebuilt (by re-deriving every slot from the stored component
-        maps -- a pure, fixed-order float64 combination cast to the map
-        dtype, so every rebuild is bitwise identical) whenever new
-        specs have been ensured since the last assembly.  Slot ``1+s``
-        holds spec ``s``'s full non-electrostatic clipped-field energy
-        ``rep - disp + hb1210 - hb_rep + hb_disp``; slot 0 holds phi.
+    def corners(self, idx: np.ndarray):
+        """``(bricks, local, base_local)`` of voxel base nodes ``idx``.
+
+        ``bricks`` / ``local`` are ``(n, 8)``: the brick index and the
+        local node index of each of the voxel's 8 corners, in trilinear
+        weight order (z fastest); ``base_local`` is the base node's
+        local index (corner 0 lies in ``bricks[:, 0]``).
         """
-        nslots = len(self._slot)
-        if self._flat_stack is not None and self._flat_slots == nslots:
-            return self._flat_stack
-        n_nodes = int(np.prod(self.shape))
-        flat = np.empty((1 + nslots) * n_nodes, dtype=self._np_dtype)
-        flat[:n_nodes] = self.phi.reshape(-1)
-        for spec, slot in self._slot.items():
-            sig, eps, don, acc = spec
-            rep, disp = self._lj[(sig, eps)]
-            combined = rep.astype(np.float64) - disp
-            cls = (don, acc)
-            if (don or acc) and self.class_eligible(cls).size:
-                combined += self._hb1210[cls]
-                hrep, hdisp = self._hblj[((sig, eps), cls)]
-                combined -= hrep
-                combined += hdisp
-            start = (1 + slot) * n_nodes
-            flat[start : start + n_nodes] = combined.reshape(-1)
-        self._flat_stack = flat
-        self._flat_slots = nslots
-        return flat
+        base_brick = (idx // BRICK) @ self._brick_strides
+        base_local = (idx % BRICK) @ _LOCAL_STRIDES
+        bricks = base_brick[:, None] + self._corner_dbrick[base_local]
+        return bricks, self._corner_local[base_local], base_local
 
     # -- construction ------------------------------------------------------
-    def ensure(self, specs) -> bool:
-        """Build any maps missing for the given atom-type specs.
+    def ensure(self, specs, points=None) -> bool:
+        """Build what scoring ``points`` with ``specs`` still lacks.
 
         ``specs`` is an iterable of ``(sigma, epsilon, donor,
-        acceptor)`` tuples.  Returns True if a build pass ran.  Map
-        contents are independent of batching: a type built alone and
-        one built alongside others yield bitwise-identical arrays
-        (each accumulates from its own receptor-parameter vectors over
-        the same node distances).
+        acceptor)`` tuples; a spec not seen before is filled in on
+        every brick already built.  ``points`` (``(n, 3)`` coordinates,
+        optional) adds the bricks under the 8 interpolation corners of
+        every in-box point.  Returns True iff a build ran.  Node values
+        are independent of batching: a brick or spec built alone and
+        one built alongside others yield bitwise-identical values.
         """
-        specs = list(specs)
-        for s in specs:
-            if s not in self._slot:
-                self._slot[s] = len(self._slot)
-        lj_keys = []
-        for s in specs:
-            key = (s[0], s[1])
-            if key not in self._lj and key not in lj_keys:
-                lj_keys.append(key)
-        classes = []
+        new = [s for s in dict.fromkeys(specs) if s not in self._slot]
+        for s in new:
+            self._slot[s] = len(self._slot)
+        built = False
+        if new:
+            grown = np.zeros(
+                (self.values.shape[0], 1 + len(self._slot), BRICK_NODES),
+                dtype=self._np_dtype,
+            )
+            grown[:, : self.values.shape[1]] = self.values
+            self.values = grown
+            if self.n_built:
+                bricks = np.flatnonzero(self.brick_slot >= 0)
+                self._fill(bricks, new, base=False)
+                built = True
+        if points is not None:
+            in_box, idx, _ = self.locate(np.asarray(points, dtype=float))
+            bricks = np.unique(self.corners(idx[in_box])[0])
+            bricks = bricks[self.brick_slot[bricks] < 0]
+            if bricks.size:
+                self._allocate(bricks)
+                self._fill(bricks, list(self._slot), base=True)
+                built = True
+        if built:
+            self.build_count += 1
+        return built
+
+    def _allocate(self, bricks: np.ndarray) -> None:
+        """Give newly built ``bricks`` the next rows of the per-brick
+        arrays."""
+        need = self.n_built + bricks.size
+        self.values = _with_rows(self.values, need)
+        self.cand_start = _with_rows(self.cand_start, need)
+        self.cand_count = _with_rows(self.cand_count, need)
+        self.brick_slot[bricks] = np.arange(self.n_built, need)
+        self.n_built = need
+
+    def _brick_axes(self, brick: int) -> list[np.ndarray]:
+        """The x, y and z coordinates of one brick's node planes
+        (node ``(i, j, k)`` of the brick sits at ``(x[i], y[j],
+        z[k])``; local index ``i*BRICK**2 + j*BRICK + k``)."""
+        b3 = np.unravel_index(brick, self.brick_grid)
+        local = np.arange(BRICK)
+        return [
+            self.origin[a]
+            + self.spacing * (BRICK * int(b3[a]) + local).astype(float)
+            for a in range(3)
+        ]
+
+    def _fill(self, bricks, specs, base: bool) -> None:
+        """Compute ``specs`` (and, with ``base``, phi and the candidate
+        lists) for the allocated ``bricks``, one brick at a time."""
+        plan = self._plan(specs)
+        dt = self._np_dtype
+        for brick in bricks:
+            row = self.brick_slot[brick]
+            axes = self._brick_axes(int(brick))
+            phi, cand, combined = self._node_values(axes, plan, base)
+            for spec, vals in zip(specs, combined):
+                self.values[row, 1 + self._slot[spec]] = vals.astype(dt)
+            if base:
+                self.values[row, 0] = phi.astype(dt)
+                node_r, atom_c = cand
+                counts = np.bincount(node_r, minlength=BRICK_NODES)
+                start = self._cand_used
+                end = start + atom_c.size
+                self.cand_atoms = _with_rows(self.cand_atoms, end)
+                self.cand_atoms[start:end] = atom_c
+                self.cand_count[row] = counts
+                self.cand_start[row, 0] = start
+                np.cumsum(counts[:-1], out=self.cand_start[row, 1:])
+                self.cand_start[row, 1:] += start
+                self._cand_used = end
+
+    def _plan(self, specs):
+        """Per-pass weight tables for the distinct components of ``specs``.
+
+        Per-type receptor weight vectors are ``4 sqrt(eps_j eps_t)``
+        times powers of the *arithmetic* sigma combination
+        ``(sigma_j + sigma_t)/2`` -- the exact Lorentz-Berthelot pair
+        coefficients.
+        """
+        rec = self.receptor
+        lj_keys = list(dict.fromkeys((s[0], s[1]) for s in specs))
         hb_pairs = []
         for s in specs:
             cls = (s[2], s[3])
-            if not (cls[0] or cls[1]):
-                continue
-            if self.class_eligible(cls).size == 0:
-                continue
-            if cls not in self._hb1210 and cls not in classes:
-                classes.append(cls)
-            key = (s[0], s[1])
-            pair = (key, cls)
-            if pair not in self._hblj and pair not in hb_pairs:
-                hb_pairs.append(pair)
-        first = self.phi is None
-        if not (first or lj_keys or classes or hb_pairs):
-            return False
-        self._build_pass(first, lj_keys, classes, hb_pairs)
-        self.build_count += 1
-        return True
-
-    def _build_pass(self, first, lj_keys, classes, hb_pairs) -> None:
-        rec = self.receptor
-        n = rec.n_atoms
-        nx, ny, nz = (int(v) for v in self.shape)
-        n_nodes = nx * ny * nz
-        # Per-type receptor weight vectors: 4 sqrt(eps_j eps_t) with the
-        # *arithmetic* sigma combination (sigma_j + sigma_t)/2 -- the
-        # exact Lorentz-Berthelot pair coefficients.
-        w12 = {}
-        w6 = {}
-        for key in {k for k in lj_keys} | {p[0] for p in hb_pairs}:
-            sig_t, eps_t = key
+            if (cls[0] or cls[1]) and self.class_eligible(cls).size:
+                if ((s[0], s[1]), cls) not in hb_pairs:
+                    hb_pairs.append(((s[0], s[1]), cls))
+        w12 = []
+        w6 = []
+        for sig_t, eps_t in lj_keys:
             sig_pair = 0.5 * (rec.sigma + sig_t)
             eps_pair = 4.0 * np.sqrt(rec.epsilon * eps_t)
             s6 = sig_pair**6
-            w6[key] = eps_pair * s6
-            w12[key] = eps_pair * s6 * s6
+            w6.append(eps_pair * s6)
+            w12.append(eps_pair * s6 * s6)
+        classes = {}
+        for key, cls in hb_pairs:
+            sel = self.class_eligible(cls)
+            gsel = self._hrel[sel]
+            k = lj_keys.index(key)
+            entry = classes.setdefault(cls, (sel, [], [], []))
+            entry[1].append(key)
+            entry[2].append(w12[k][gsel])
+            entry[3].append(w6[k][gsel])
+        n = rec.n_atoms
+        return {
+            "specs": specs,
+            "lj_keys": lj_keys,
+            "w12": np.array(w12).reshape(len(lj_keys), n),
+            "w6": np.array(w6).reshape(len(lj_keys), n),
+            "classes": {
+                cls: (sel, keys, np.array(a), np.array(b))
+                for cls, (sel, keys, a, b) in classes.items()
+            },
+        }
+
+    def _node_values(self, axes, plan, base):
+        """Values of one brick's nodes (``axes`` from
+        :meth:`_brick_axes`) for one build plan.
+
+        Returns ``(phi, (node, atom) candidate pairs, combined)`` --
+        phi and candidates only with ``base``; ``combined`` is
+        ``(len(specs), BRICK**3)`` float64.  A node's squared distance
+        to atom ``j`` is ``(dx^2 + dy^2) + dz^2`` of its own per-axis
+        differences -- a brick has only ``BRICK`` distinct values per
+        axis, so the per-axis terms are computed once and broadcast --
+        and every reduction runs per node through ``np.einsum`` (never
+        a BLAS GEMV/GEMM, whose per-row result depends on the chunk's
+        row count and the thread count).  A node's value therefore
+        does not depend on which nodes share its pass.
+
+        The (nodes x receptor atoms) temporaries live in buffers kept
+        across bricks: fresh multi-MB arrays per brick cost more in
+        page faults than the arithmetic on them.
+        """
+        n = self.receptor.n_atoms
         rel = self._hrel
-        need_hb = bool(classes or hb_pairs)
-        sel_of_cls = {
-            cls: self.class_eligible(cls)
-            for cls in {c for c in classes} | {p[1] for p in hb_pairs}
-        }
-        c_hb, d_hb = hb.hbond_coefficients()
-        # Flat accumulation buffers (float64 during the build; stored
-        # astype(self.dtype) at the end).
-        out_phi = np.empty(n_nodes) if first else None
-        out_count = np.zeros(n_nodes, dtype=np.int32) if first else None
-        cand_chunks: list[np.ndarray] = []
-        out_lj = {k: (np.empty(n_nodes), np.empty(n_nodes)) for k in lj_keys}
-        out_1210 = {c: np.empty(n_nodes) for c in classes}
-        out_hblj = {
-            p: (np.empty(n_nodes), np.empty(n_nodes)) for p in hb_pairs
-        }
-        flag_r2 = self.flag_radius**2
-        clip_r2 = self.clip_radius**2
-        # Chunk the node list so the (chunk, n_rec) temporaries stay
-        # bounded (~30 MB each at 2BSM scale).
-        chunk = max(256, int(4_000_000 // max(1, n)))
-        coords = rec.coords
-        a2 = (coords * coords).sum(axis=1)[None, :]
-        q = rec.charges
-        for start in range(0, n_nodes, chunk):
-            stop = min(start + chunk, n_nodes)
-            flat = np.arange(start, stop, dtype=np.int64)
-            iz = flat % nz
-            iy = (flat // nz) % ny
-            ix = flat // (ny * nz)
-            pts = self.origin + self.spacing * np.stack(
-                [ix, iy, iz], axis=1
-            ).astype(float)
-            # |x - a|^2 via one GEMM; every kernel below sees the
-            # distance clipped at clash_radius (f_clip), so the fields
-            # stay smooth even on nodes inside receptor atoms.
-            p2 = (pts * pts).sum(axis=1)[:, None]
-            r2 = p2 + a2 - 2.0 * (pts @ coords.T)
-            if first:
-                # Voxel candidate extraction from the same distances
-                # the maps integrate: nonzero is row-major, so the CSR
-                # lists come out node-major with atoms ascending -- the
-                # canonical order the pair corrections sum in.
-                node_r, atom_c = np.nonzero(r2 <= flag_r2)
-                out_count[start:stop] = np.bincount(
-                    node_r, minlength=stop - start
+        if self._work is None:
+            self._work = {
+                name: np.empty((BRICK_NODES, n))
+                for name in ("r2", "inv_r2", "inv_r6", "inv_r12")
+            }
+            self._work.update(
+                {
+                    name: np.empty((BRICK_NODES, rel.size))
+                    for name in ("e", "i12", "i6")
+                }
+            )
+            self._work["mask"] = np.empty((BRICK_NODES, n), dtype=bool)
+        w = self._work
+        grid = (BRICK, BRICK, BRICK, n)
+        diff = [np.subtract.outer(ax, c) for ax, c in zip(axes, self._rec_xyz)]
+        sq = [d * d for d in diff]
+        r2 = w["r2"]
+        np.add(
+            (sq[0][:, None, :] + sq[1][None, :, :])[:, :, None, :],
+            sq[2][None, None, :, :],
+            out=r2.reshape(grid),
+        )
+        phi = cand = None
+        if base:
+            # Candidates from the same distances the maps integrate:
+            # nonzero is row-major, so the CSR lists come out
+            # node-major with atoms ascending -- the canonical order
+            # the pair corrections sum in.
+            close = np.less_equal(r2, self.flag_radius**2, out=w["mask"])
+            node_r, atom_c = np.nonzero(close)
+            cand = (node_r, atom_c.astype(np.int32))
+        # Every kernel sees the distance clipped at clash_radius
+        # (f_clip), so the fields stay smooth even on nodes inside
+        # receptor atoms.
+        np.maximum(r2, self.clip_radius**2, out=r2)
+        inv_r2 = np.divide(1.0, r2, out=w["inv_r2"])
+        inv_r6 = w["inv_r6"]
+        if base:
+            phi = COULOMB_CONSTANT * np.einsum(
+                "ij,j->i", np.sqrt(inv_r2, out=inv_r6), self.receptor.charges
+            )
+        np.multiply(inv_r2, inv_r2, out=inv_r6)
+        inv_r6 *= inv_r2
+        inv_r12 = np.multiply(inv_r6, inv_r6, out=w["inv_r12"])
+        rep = np.einsum("ij,kj->ki", inv_r12, plan["w12"])
+        disp = np.einsum("ij,kj->ki", inv_r6, plan["w6"])
+        hb1210 = {}
+        hb_lj = {}
+        if plan["classes"]:
+            c_hb, d_hb = hb.hbond_coefficients()
+            i12 = np.take(inv_r12, rel, axis=1, out=w["i12"])
+            i6 = np.take(inv_r6, rel, axis=1, out=w["i6"])
+            e_1210 = np.take(r2, rel, axis=1, out=w["e"])
+            e_1210 *= -d_hb
+            e_1210 += c_hb  # c - d r^2, times r^-12 below
+            e_1210 *= i12
+            aniso = self._haniso
+            if aniso.size:
+                # Angular weights where the receptor atom has a donor
+                # direction (isotropic atoms weigh 1): cos(theta_j(x))
+                # = dir_j . (x - a_j) / r_clip -- the clipped-distance
+                # normalization is deliberate, the pair corrections
+                # subtract exactly this convention.
+                cols = rel[aniso]
+                hd = self._hdirs[aniso]
+                proj = [diff[a][:, cols] * hd[:, a] for a in range(3)]
+                cos = np.empty(grid[:3] + (cols.size,))
+                np.add(
+                    (proj[0][:, None, :] + proj[1][None, :, :])[
+                        :, :, None, :
+                    ],
+                    proj[2][None, None, :, :],
+                    out=cos,
                 )
-                cand_chunks.append(atom_c.astype(np.int32))
-            np.maximum(r2, clip_r2, out=r2)
-            inv_r = 1.0 / np.sqrt(r2)
-            if first:
-                out_phi[start:stop] = COULOMB_CONSTANT * (inv_r @ q)
-            inv_r2 = inv_r * inv_r
-            inv_r6 = inv_r2 * inv_r2 * inv_r2
-            inv_r12 = inv_r6 * inv_r6
-            for key in lj_keys:
-                out_lj[key][0][start:stop] = inv_r12 @ w12[key]
-                out_lj[key][1][start:stop] = inv_r6 @ w6[key]
-            if need_hb and rel.size:
-                # cos(theta_j(x)) = dir_j . (x - a_j) / r_clip: the
-                # clipped-distance normalization is deliberate -- the
-                # pair corrections subtract exactly this convention.
-                cos = (pts @ self._hdirs.T - self._hdot) * inv_r[:, rel]
-                cos[:, self._hiso] = 1.0
+                cos = cos.reshape(BRICK_NODES, cols.size)
+                cos *= np.sqrt(inv_r2[:, cols])
                 np.clip(cos, 0.0, 1.0, out=cos)
-                sin = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
-                np.subtract(1.0, sin, out=sin)  # now (1 - sin)
-                inv12_h = inv_r12[:, rel]
-                e_1210 = c_hb * inv12_h - d_hb * (inv12_h * r2[:, rel])
-                for cls in classes:
-                    sel = sel_of_cls[cls]
-                    out_1210[cls][start:stop] = (
-                        cos[:, sel] * e_1210[:, sel]
-                    ).sum(axis=1)
-                for pair in hb_pairs:
-                    key, cls = pair
-                    sel = sel_of_cls[cls]
-                    gsel = rel[sel]
-                    oms = sin[:, sel]
-                    out_hblj[pair][0][start:stop] = (
-                        oms * inv12_h[:, sel]
-                    ) @ w12[key][gsel]
-                    out_hblj[pair][1][start:stop] = (
-                        oms * inv_r6[:, rel][:, sel]
-                    ) @ w6[key][gsel]
-        dt = self._np_dtype
-        shape3 = (nx, ny, nz)
-        if first:
-            self.phi = out_phi.astype(dt).reshape(shape3)
-            self.near_mask = (out_count > 0).reshape(shape3)
-            self.cand_count = out_count
-            starts = np.zeros(n_nodes, dtype=np.int64)
-            starts[1:] = np.cumsum(out_count[:-1], dtype=np.int64)
-            self.cand_start = starts
-            self.cand_atoms = (
-                np.concatenate(cand_chunks)
-                if cand_chunks
-                else np.empty(0, dtype=np.int32)
-            )
-        for key in lj_keys:
-            self._lj[key] = (
-                out_lj[key][0].astype(dt).reshape(shape3),
-                out_lj[key][1].astype(dt).reshape(shape3),
-            )
-        for cls in classes:
-            self._hb1210[cls] = out_1210[cls].astype(dt).reshape(shape3)
-        for pair in hb_pairs:
-            self._hblj[pair] = (
-                out_hblj[pair][0].astype(dt).reshape(shape3),
-                out_hblj[pair][1].astype(dt).reshape(shape3),
-            )
+                oms = np.sqrt(np.maximum(0.0, 1.0 - cos * cos))
+                np.subtract(1.0, oms, out=oms)  # now (1 - sin)
+                e_1210[:, aniso] *= cos
+                i12[:, aniso] *= oms
+                i6[:, aniso] *= oms
+            for cls, (sel, keys, w12, w6) in plan["classes"].items():
+                if sel.size < rel.size:
+                    e, a12, a6 = e_1210[:, sel], i12[:, sel], i6[:, sel]
+                else:
+                    e, a12, a6 = e_1210, i12, i6
+                hb1210[cls] = e.sum(axis=1)
+                hrep = np.einsum("ij,kj->ki", a12, w12)
+                hdisp = np.einsum("ij,kj->ki", a6, w6)
+                for k, key in enumerate(keys):
+                    hb_lj[(key, cls)] = (hrep[k], hdisp[k])
+        combined = np.empty((len(plan["specs"]), BRICK_NODES))
+        lj_keys = plan["lj_keys"]
+        for i, (sig, eps, don, acc) in enumerate(plan["specs"]):
+            k = lj_keys.index((sig, eps))
+            c = combined[i]
+            np.subtract(rep[k], disp[k], out=c)
+            cls = (don, acc)
+            if cls in hb1210:
+                hrep, hdisp = hb_lj[((sig, eps), cls)]
+                c += hb1210[cls]
+                c -= hrep
+                c += hdisp
+        return phi, cand, combined
 
 
 class FieldScorer:
     """Two-regime hybrid scorer: interpolated fields, exact clash pairs.
 
-    Built lazily on first use (under a "field-build" tracer span when a
-    tracer is attached; map size lands in the ``scoring/field_bytes``
-    gauge and the per-call exact-path atom fraction in
-    ``scoring/near_field_fraction``).  Pass a prebuilt ``cells``
-    :class:`FieldMaps` over the same receptor to share maps across
-    ligands -- screening workers build one per receptor per worker.
+    Maps build lazily: the bricks under an in-box atom's 8
+    interpolation corners are built on first touch, always through
+    :meth:`FieldMaps.ensure` (under a "field-build" tracer span when a
+    tracer is attached).  After each build the ``scoring/field_bytes``
+    and ``scoring/field_bricks`` gauges are set; every call observes
+    its exact-path atom fraction in ``scoring/near_field_fraction`` and
+    adds its out-of-box and near-field atom counts to the
+    ``scoring/field_oob_atoms`` / ``scoring/field_near_atoms``
+    counters.  Pass a prebuilt ``cells`` :class:`FieldMaps` over the
+    same receptor to share maps across ligands -- screening workers
+    build one per receptor per worker.
 
     The hot path folds each ligand atom's full clipped-field energy
-    into two trilinear lookups -- the shared ``phi`` map (times the
-    atom charge) and a per-type *combined* map ``rep - disp + hb1210 -
-    hb_rep + hb_disp`` assembled once per ligand from the stored
-    component maps -- gathered for all atoms in a single fused fancy
-    index over one flattened stack.  Overlapping pairs then add their
+    into two trilinear lookups -- phi (times the atom charge) and the
+    atom type's *combined* value ``rep - disp + hb1210 - hb_rep +
+    hb_disp`` -- gathered for all atoms in a single fused fancy index
+    over the maps' per-brick values.  Overlapping pairs then add their
     exact-vs-clipped energy difference pairwise.
     """
 
@@ -584,38 +732,11 @@ class FieldScorer:
         self.clash_radius = self._maps.clash_radius
         self.dtype = self._maps.dtype
         self._tables = ScoringTables.build(receptor, ligand)
-        self._specs, spec_ids = _atom_type_specs(ligand)
+        self._specs, self._spec_ids = _atom_type_specs(ligand)
         self._charges = np.asarray(ligand.charges, dtype=float)
-        # Flat-stack addressing: stack slot 0 is phi, slot 1+g is type
-        # g's combined map; per-atom slot offsets in flattened units.
-        nx, ny, nz = (int(v) for v in self._maps.shape)
-        self._n_nodes = nx * ny * nz
-        self._strides = np.array(
-            [ny * nz, nz, 1], dtype=np.int64
-        )
-        self._corner_offs = np.array(
-            [
-                0,
-                1,
-                nz,
-                nz + 1,
-                ny * nz,
-                ny * nz + 1,
-                ny * nz + nz,
-                ny * nz + nz + 1,
-            ],
-            dtype=np.int64,
-        )
-        self._spec_ids = spec_ids
-        self._inv_spacing = 1.0 / self._maps.spacing
-        self._upper = self._maps.shape.astype(float) - 1.0
-        self._max_idx = self._maps.shape - 2
-        # Built lazily: per-atom flat offsets of each atom's combined
-        # map slot in the shared stack, plus views of the stack / the
-        # flattened near mask.
+        # Built lazily: per-atom offset of the atom's combined value
+        # inside a brick row of FieldMaps.values (phi sits at 0).
         self._foff: np.ndarray | None = None
-        self._flat: np.ndarray | None = None
-        self._near_flat: np.ndarray | None = None
         self._tracer = None
         self._metrics = None
         #: Exact-path atom fraction of the most recent evaluation
@@ -644,71 +765,69 @@ class FieldScorer:
 
     def _publish_size(self) -> None:
         if self._metrics is not None and self._foff is not None:
-            self._metrics.set(
-                FIELD_BYTES_METRIC, float(self._maps.nbytes())
-            )
+            maps = self._maps
+            self._metrics.set(FIELD_BYTES_METRIC, float(maps.nbytes()))
+            self._metrics.set(BRICKS_METRIC, maps.n_built / maps.n_bricks)
 
     # -- lazy build --------------------------------------------------------
     @property
     def maps(self) -> FieldMaps:
-        """The shared field maps, built for this ligand on first access."""
+        """The shared field maps, with this ligand's types ensured."""
         self._ensure_built()
         return self._maps
 
+    def _ensure(self, points=None) -> None:
+        """Every build goes through :meth:`FieldMaps.ensure`."""
+        if self._tracer is not None:
+            with self._tracer.span("field-build"):
+                built = self._maps.ensure(self._specs, points)
+        else:
+            built = self._maps.ensure(self._specs, points)
+        if built:
+            self._publish_size()
+
     def _ensure_built(self) -> None:
-        maps = self._maps
-        if self._foff is None:
-            if self._tracer is not None:
-                with self._tracer.span("field-build"):
-                    maps.ensure(self._specs)
-                    self._bind_stack()
-            else:
-                maps.ensure(self._specs)
-                self._bind_stack()
-            self._publish_size()
+        if self._foff is not None:
             return
-        # Another ligand sharing these maps may have ensured new specs
-        # since we last bound: the shared stack is reassembled then (our
-        # slots' contents are unchanged -- slots are append-only and
-        # each slot is a pure function of its own component maps), so
-        # just rebind the view.
-        flat = maps.flat_stack()
-        if flat is not self._flat:
-            self._flat = flat
-            self._publish_size()
+        self._ensure()
+        slots = np.array(
+            [self._maps.slot_of(s) for s in self._specs], dtype=np.int64
+        )
+        self._foff = (slots[self._spec_ids] + 1) * BRICK_NODES
+        self._publish_size()
 
-    def _bind_stack(self) -> None:
-        """Bind per-atom offsets into the shared combined map stack.
+    def _brick_rows(self, idx, pts):
+        """``(rows, local, base_local)`` for in-box voxels ``idx``.
 
-        Stack slot 0 holds phi; slot ``1 + slot_of(spec)`` holds that
-        spec's full non-electrostatic clipped-field energy.  The stack
-        lives on :class:`FieldMaps` (one array per receptor, shared by
-        every ligand) and each slot is combined in float64 in a fixed
-        order then cast to the map dtype -- a pure function of the
-        stored maps, so warm == cold bitwise.
+        ``rows`` holds the :attr:`FieldMaps.values` row of each of the
+        8 corners' bricks, building any missing brick (for the points
+        ``pts`` that touch one) first.
         """
         maps = self._maps
-        slots = np.array(
-            [maps.slot_of(s) for s in self._specs], dtype=np.int64
-        )
-        self._foff = (slots[self._spec_ids] + 1) * self._n_nodes
-        self._flat = maps.flat_stack()
-        self._near_flat = maps.near_mask.reshape(-1)
+        bricks, local, base_local = maps.corners(idx)
+        rows = maps.brick_slot[bricks]
+        missing = rows < 0
+        if missing.any():
+            self._ensure(pts[missing.any(axis=1)])
+            rows = maps.brick_slot[bricks]
+        return rows, local, base_local
 
     # -- scoring -----------------------------------------------------------
-    def _interp_energy(self, ib, base, t) -> float:
+    def _interp_energy(self, ib, rows, local, t) -> float:
         """Fused two-lookup interpolation over the in-box atoms ``ib``.
 
-        One fancy gather pulls all 8 corners of both the phi slot and
-        each atom's type slot from the flattened stack; the ligand
-        charge folds into the phi corner weights so a single reduction
-        yields the total.
+        One fancy gather pulls all 8 corners of both each atom's phi
+        and its type's combined value from the per-brick values; the
+        ligand charge folds into the phi corner weights so a single
+        reduction yields the total.
         """
         b = ib.size
-        lin = np.empty(2 * b, dtype=np.int64)
-        lin[:b] = base
-        lin[b:] = base + self._foff[ib]
-        corners = self._flat[lin[:, None] + self._corner_offs[None, :]]
+        values = self._maps.values
+        addr = np.empty((2 * b, 8), dtype=np.int64)
+        np.multiply(rows, values.shape[1] * BRICK_NODES, out=addr[:b])
+        addr[:b] += local
+        np.add(addr[:b], self._foff[ib][:, None], out=addr[b:])
+        corners = values.reshape(-1).take(addr)
         tx, ty, tz = t[:, 0], t[:, 1], t[:, 2]
         ex, ey, ez = 1.0 - tx, 1.0 - ty, 1.0 - tz
         p00 = ex * ey
@@ -732,7 +851,7 @@ class FieldScorer:
         """Exact-vs-clipped Eq. 1 energy difference of overlapping pairs.
 
         For each pair the clipped-kernel contribution (what the maps
-        tabulated, same conventions as ``_build_pass``) is subtracted
+        tabulated, same conventions as ``_node_values``) is subtracted
         and the exact-path energy at the MIN_DISTANCE-clamped true
         distance added -- so clash terms come out exact while the
         interpolated total needs no per-atom branching.
@@ -782,7 +901,7 @@ class FieldScorer:
             np.clip(cos_e, 0.0, 1.0, out=cos_e)
             sin_e = np.sqrt(np.maximum(0.0, 1.0 - cos_e * cos_e))
             # Map-side angular convention: normalized by the clipped
-            # distance (see _build_pass).
+            # distance (see FieldMaps._node_values).
             cos_c = dot * inv_c[sel]
             cos_c[maps.iso_full[ri]] = 1.0
             np.clip(cos_c, 0.0, 1.0, out=cos_c)
@@ -834,65 +953,65 @@ class FieldScorer:
             raise ValueError(f"coords must have shape ({m}, 3)")
         self._ensure_built()
         maps = self._maps
-        frac = (lig - maps.origin) * self._inv_spacing
-        in_box = (frac >= 0.0).all(axis=1) & (frac <= self._upper).all(
-            axis=1
-        )
-        idx = np.floor(frac).astype(np.int64)
-        np.clip(idx, 0, self._max_idx, out=idx)
-        base = idx @ self._strides
+        in_box, idx, t = maps.locate(lig)
         energy = 0.0
-        n_exact = 0
+        n_oob = n_near = 0
         if in_box.all():
             ib = np.arange(m)
-            energy += self._interp_energy(ib, base, frac - idx)
         else:
             ib = np.flatnonzero(in_box)
-            if ib.size:
-                energy += self._interp_energy(
-                    ib, base[ib], frac[ib] - idx[ib]
-                )
+            idx, t = idx[ib], t[ib]
+        if ib.size:
+            rows, local, base_local = self._brick_rows(idx, lig[ib])
+            energy += self._interp_energy(ib, rows, local, t)
+        if ib.size < m:
             oob = np.flatnonzero(~in_box)
             energy += self._exact_energy(lig, oob)
-            n_exact += oob.size
+            n_oob = oob.size
         if ib.size:
-            base_ib = base if ib.size == m else base[ib]
-            near = self._near_flat[base_ib]
+            node = rows[:, 0] * BRICK_NODES + base_local
+            counts = maps.cand_count.reshape(-1)[node]
+            near = counts > 0
             if near.any():
                 flagged = ib[near]
-                vox = base_ib[near]
-                counts = maps.cand_count[vox].astype(np.int64)
+                counts = counts[near].astype(np.int64)
+                # CSR expansion of the voxel candidate lists, then an
+                # exact distance check keeps true overlaps.
                 total = int(counts.sum())
-                if total:
-                    # CSR expansion of the voxel candidate lists, then
-                    # an exact distance check keeps true overlaps.
-                    cum = np.zeros(counts.size, dtype=np.int64)
-                    np.cumsum(counts[:-1], out=cum[1:])
-                    rank = np.arange(total, dtype=np.int64)
-                    rank -= np.repeat(cum, counts)
-                    rank += np.repeat(maps.cand_start[vox], counts)
-                    cand = maps.cand_atoms.take(rank).astype(np.int64)
-                    lig_i = np.repeat(flagged, counts)
-                    diff = self.receptor.coords.take(cand, axis=0)
-                    diff -= lig.take(lig_i, axis=0)
-                    d2 = np.einsum("ij,ij->i", diff, diff)
-                    keep = d2 <= maps.clash_radius * maps.clash_radius
-                    if keep.any():
-                        rec_i = np.compress(keep, cand)
-                        lig_i = np.compress(keep, lig_i)
-                        energy += self._pair_correction(lig, rec_i, lig_i)
-                        n_exact += np.unique(lig_i).size
-        self.near_fraction = n_exact / m
+                cum = np.zeros(counts.size, dtype=np.int64)
+                np.cumsum(counts[:-1], out=cum[1:])
+                rank = np.arange(total, dtype=np.int64)
+                rank -= np.repeat(cum, counts)
+                rank += np.repeat(
+                    maps.cand_start.reshape(-1)[node[near]], counts
+                )
+                cand = maps.cand_atoms.take(rank).astype(np.int64)
+                lig_i = np.repeat(flagged, counts)
+                diff = self.receptor.coords.take(cand, axis=0)
+                diff -= lig.take(lig_i, axis=0)
+                d2 = np.einsum("ij,ij->i", diff, diff)
+                keep = d2 <= maps.clash_radius * maps.clash_radius
+                if keep.any():
+                    rec_i = np.compress(keep, cand)
+                    lig_i = np.compress(keep, lig_i)
+                    energy += self._pair_correction(lig, rec_i, lig_i)
+                    n_near = np.unique(lig_i).size
+        self.near_fraction = (n_oob + n_near) / m
         if self._metrics is not None:
-            self._metrics.observe(NEAR_FRACTION_METRIC, self.near_fraction)
+            self._observe(self.near_fraction, n_oob, n_near)
         return -energy
+
+    def _observe(self, fraction, n_oob, n_near) -> None:
+        self._metrics.observe(NEAR_FRACTION_METRIC, fraction)
+        self._metrics.inc(OOB_ATOMS_METRIC, float(n_oob))
+        self._metrics.inc(NEAR_ATOMS_METRIC, float(n_near))
 
     def score_batch(self, coords_batch: np.ndarray) -> np.ndarray:
         """Scores for (k, m, 3) poses; bitwise-equal per entry to
         :meth:`score`.
 
         Pose-major fused path: per chunk of poses, one trilinear corner
-        gather / einsum over the shared stack covers every in-box atom
+        gather / einsum over the shared bricks covers every in-box atom
         of every pose, the voxel CSR candidate table is expanded across
         all flagged atoms at once, and only the per-pose scalar
         reductions (contiguous-slice einsums, rare exact columns, pair
@@ -900,8 +1019,9 @@ class FieldScorer:
         stays per-pose over the same arrays in the same order as
         :meth:`score`, so entries are bitwise identical to sequential
         single-pose calls.  ``near_fraction`` ends at the last pose's
-        value and the near-field histogram observes one value per pose,
-        exactly as sequential calls would.
+        value, the near-field histogram observes one value per pose and
+        the regime counters add the same atom counts, exactly as
+        sequential calls would.
         """
         m = self.ligand.n_atoms
         cb = as_pose_batch(coords_batch, m)
@@ -913,18 +1033,17 @@ class FieldScorer:
         # Chunk so the (2*rows, 8) corner/weight temporaries stay a few
         # MB (see docs/PERFORMANCE.md "Batched pose evaluation").
         step = max(1, _BATCH_CHUNK_ROWS // max(1, m))
-        last_frac = self.near_fraction
         for s in range(0, k, step):
             e = min(s + step, k)
-            scores, fracs = _fused_scores(
+            scores, n_oob, n_near = _fused_scores(
                 [self] * (e - s), cb[s:e].reshape(-1, 3), [m] * (e - s)
             )
             out[s:e] = scores
+            fracs = (n_oob + n_near) / m
             if self._metrics is not None:
-                for f in fracs:
-                    self._metrics.observe(NEAR_FRACTION_METRIC, float(f))
-            last_frac = float(fracs[-1])
-        self.near_fraction = last_frac
+                for f, o, n in zip(fracs, n_oob, n_near):
+                    self._observe(float(f), o, n)
+            self.near_fraction = float(fracs[-1])
         return out
 
 
@@ -934,16 +1053,19 @@ _BATCH_CHUNK_ROWS = 16384
 
 
 def _fused_scores(scorers, pts, sizes):
-    """Fused field evaluation of ``len(sizes)`` poses over one stack.
+    """Fused field evaluation of ``len(sizes)`` poses over shared maps.
 
     ``scorers[i]`` scores the pose occupying rows
     ``starts[i]:starts[i]+sizes[i]`` of ``pts`` (float64 ``(R, 3)``).
-    All scorers must share one built :class:`FieldMaps` (they gather
-    from its shared flat stack -- their per-atom slot offsets address
-    it directly, which is what lets heterogeneous ligands fuse).
+    All scorers must share one :class:`FieldMaps` and have their types
+    ensured (they gather from its per-brick values -- their per-atom
+    slot offsets address it directly, which is what lets heterogeneous
+    ligands fuse); missing bricks are built through ``scorers[0]``.
 
-    Returns ``(scores, near_fracs)``; each entry is bitwise-equal to
-    ``scorers[i].score(pose_i)``: the batched stages are elementwise or
+    Returns ``(scores, n_oob, n_near)``: per pose, its score and its
+    out-of-box and near-field (pair-corrected) atom counts.  Each
+    score is bitwise-equal to ``scorers[i].score(pose_i)``, and the
+    counts equal that call's: the batched stages are elementwise or
     per-row (identical values regardless of batch), while every
     floating-point *reduction* -- the corner einsum, the exact-column
     energy, the pair-correction sum -- runs per pose over contiguous
@@ -957,12 +1079,7 @@ def _fused_scores(scorers, pts, sizes):
     np.cumsum(sizes, out=starts[1:])
     s0 = scorers[0]
     maps = s0._maps
-    flat = maps.flat_stack()
-    frac = (pts - maps.origin) * s0._inv_spacing
-    in_box = (frac >= 0.0).all(axis=1) & (frac <= s0._upper).all(axis=1)
-    idx = np.floor(frac).astype(np.int64)
-    np.clip(idx, 0, s0._max_idx, out=idx)
-    base = idx @ s0._strides
+    in_box, idx, t = maps.locate(pts)
     item_of = np.repeat(np.arange(k, dtype=np.int64), sizes)
     ib_all = np.flatnonzero(in_box)
     item_ib = item_of[ib_all]
@@ -973,10 +1090,10 @@ def _fused_scores(scorers, pts, sizes):
     corners = w = None
     pair_e = pair_bounds = uniq_cum = None
     if n_ib:
-        base_ib = base[ib_all]
+        rows, local, base_local = s0._brick_rows(idx[ib_all], pts[ib_all])
         # Trilinear corner weights for every in-box row (same
         # elementwise ops and column order as _interp_energy).
-        t_ib = (frac - idx)[ib_all]
+        t_ib = t[ib_all]
         tx, ty, tz = t_ib[:, 0], t_ib[:, 1], t_ib[:, 2]
         ex, ey, ez = 1.0 - tx, 1.0 - ty, 1.0 - tz
         p00 = ex * ey
@@ -992,7 +1109,7 @@ def _fused_scores(scorers, pts, sizes):
         pw[:, 5] = p10 * tz
         pw[:, 6] = p11 * ez
         pw[:, 7] = p11 * tz
-        # Row layout replicates the single-pose lin/w arrays pose by
+        # Row layout replicates the single-pose addr/w arrays pose by
         # pose: pose i's 2*b_i rows start at 2*ib_bounds[i], phi rows
         # first, type rows after -- so the per-pose einsum below runs
         # over a contiguous slice shaped exactly like _interp_energy's.
@@ -1001,59 +1118,55 @@ def _fused_scores(scorers, pts, sizes):
         ranks = np.arange(n_ib, dtype=np.int64) - ib_bounds[item_ib]
         pos_phi = 2 * ib_bounds[item_ib] + ranks
         pos_typ = pos_phi + b_counts[item_ib]
-        lin = np.empty(2 * n_ib, dtype=np.int64)
-        lin[pos_phi] = base_ib
-        lin[pos_typ] = base_ib + foff_rows[ib_all]
+        values = maps.values
+        base_addr = rows * (values.shape[1] * BRICK_NODES)
+        base_addr += local
+        addr = np.empty((2 * n_ib, 8), dtype=np.int64)
+        addr[pos_phi] = base_addr
+        addr[pos_typ] = base_addr + foff_rows[ib_all][:, None]
         w = np.empty((2 * n_ib, 8))
         w[pos_typ] = pw
         w[pos_phi] = pw * ch_rows[ib_all][:, None]
-        corners = flat[lin[:, None] + s0._corner_offs[None, :]]
+        corners = values.reshape(-1).take(addr)
         # Batched near-field candidate expansion (same CSR arithmetic
         # as score(), across all flagged atoms of all poses at once).
-        near = s0._near_flat[base_ib]
-        nz = np.flatnonzero(near)
+        node = rows[:, 0] * BRICK_NODES + base_local
+        counts = maps.cand_count.reshape(-1)[node]
+        nz = np.flatnonzero(counts)
         if nz.size:
-            vox = base_ib[nz]
-            counts = maps.cand_count[vox].astype(np.int64)
+            counts = counts[nz].astype(np.int64)
             total = int(counts.sum())
-            if total:
-                cum = np.zeros(counts.size, dtype=np.int64)
-                np.cumsum(counts[:-1], out=cum[1:])
-                rank = np.arange(total, dtype=np.int64)
-                rank -= np.repeat(cum, counts)
-                rank += np.repeat(maps.cand_start[vox], counts)
-                cand = maps.cand_atoms.take(rank).astype(np.int64)
-                lig_rows = np.repeat(ib_all[nz], counts)
-                diff = maps.receptor.coords.take(cand, axis=0)
-                diff -= pts.take(lig_rows, axis=0)
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                keep = d2 <= maps.clash_radius * maps.clash_radius
-                if keep.any():
-                    pair_rec = np.compress(keep, cand)
-                    pair_row = np.compress(keep, lig_rows)
-                    pair_itm = np.compress(
-                        keep, np.repeat(item_ib[nz], counts)
-                    )
-                    pair_bounds = np.searchsorted(
-                        pair_itm, np.arange(k + 1)
-                    )
-                    pair_e = _pair_energies(
-                        scorers, maps, pts, pair_rec, pair_row, ch_rows
-                    )
-                    # Unique corrected ligand atoms per pose (the
-                    # near-fraction numerator): pair_row is
-                    # non-decreasing and pose slices never share rows,
-                    # so first-occurrence flags prefix-sum into
-                    # per-slice unique counts.
-                    firsts = np.empty(pair_row.size, dtype=np.int64)
-                    firsts[0] = 1
-                    firsts[1:] = pair_row[1:] != pair_row[:-1]
-                    uniq_cum = np.zeros(
-                        pair_row.size + 1, dtype=np.int64
-                    )
-                    np.cumsum(firsts, out=uniq_cum[1:])
+            cum = np.zeros(counts.size, dtype=np.int64)
+            np.cumsum(counts[:-1], out=cum[1:])
+            rank = np.arange(total, dtype=np.int64)
+            rank -= np.repeat(cum, counts)
+            rank += np.repeat(maps.cand_start.reshape(-1)[node[nz]], counts)
+            cand = maps.cand_atoms.take(rank).astype(np.int64)
+            lig_rows = np.repeat(ib_all[nz], counts)
+            diff = maps.receptor.coords.take(cand, axis=0)
+            diff -= pts.take(lig_rows, axis=0)
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            keep = d2 <= maps.clash_radius * maps.clash_radius
+            if keep.any():
+                pair_rec = np.compress(keep, cand)
+                pair_row = np.compress(keep, lig_rows)
+                pair_itm = np.compress(keep, np.repeat(item_ib[nz], counts))
+                pair_bounds = np.searchsorted(pair_itm, np.arange(k + 1))
+                pair_e = _pair_energies(
+                    scorers, maps, pts, pair_rec, pair_row, ch_rows
+                )
+                # Unique corrected ligand atoms per pose (the
+                # near-field count): pair_row is non-decreasing and
+                # pose slices never share rows, so first-occurrence
+                # flags prefix-sum into per-slice unique counts.
+                firsts = np.empty(pair_row.size, dtype=np.int64)
+                firsts[0] = 1
+                firsts[1:] = pair_row[1:] != pair_row[:-1]
+                uniq_cum = np.zeros(pair_row.size + 1, dtype=np.int64)
+                np.cumsum(firsts, out=uniq_cum[1:])
     scores = np.empty(k)
-    fracs = np.empty(k)
+    n_oob = np.zeros(k, dtype=np.int64)
+    n_near = np.zeros(k, dtype=np.int64)
     for i in range(k):
         m_i = int(sizes[i])
         b = int(b_counts[i])
@@ -1065,22 +1178,20 @@ def _fused_scores(scorers, pts, sizes):
                     "pc,pc->", corners[o : o + 2 * b], w[o : o + 2 * b]
                 )
             )
-        n_ex = 0
         if b < m_i:
             lo, hi = int(starts[i]), int(starts[i + 1])
             oob = np.flatnonzero(~in_box[lo:hi])
             energy += scorers[i]._exact_energy(pts[lo:hi], oob)
-            n_ex += oob.size
+            n_oob[i] = oob.size
         if pair_bounds is not None:
             p0, p1 = int(pair_bounds[i]), int(pair_bounds[i + 1])
             if p1 > p0:
                 # Same floats as _pair_correction's final e.sum(): the
                 # slice is contiguous with identical length and values.
                 energy += float(pair_e[p0:p1].sum())
-                n_ex += int(uniq_cum[p1] - uniq_cum[p0])
+                n_near[i] = uniq_cum[p1] - uniq_cum[p0]
         scores[i] = -energy
-        fracs[i] = n_ex / m_i
-    return scores, fracs
+    return scores, n_oob, n_near
 
 
 def _pair_energies(scorers, maps, pts, pair_rec, pair_row, ch_rows):
@@ -1157,10 +1268,11 @@ def score_field_group(entries) -> np.ndarray:
     scorers may wrap *different ligands* (heterogeneous atom counts and
     types).  Entries are grouped by their shared :class:`FieldMaps`
     instance; each group evaluates through one fused kernel over the
-    maps' combined stack, so a screening shard's ligands against one
+    maps' per-brick values, so a screening shard's ligands against one
     receptor batch into a single gather.  Per-entry results (score,
-    ``near_fraction``, the near-field histogram observation) are
-    bitwise-equal to calling ``scorer.score(coords)`` sequentially.
+    ``near_fraction``, the near-field histogram observation and regime
+    counters) are bitwise-equal to calling ``scorer.score(coords)``
+    sequentially.
     """
     n = len(entries)
     out = np.empty(n)
@@ -1186,13 +1298,11 @@ def score_field_group(entries) -> np.ndarray:
         scorers = [prepared[i][0] for i in idxs]
         sizes = [prepared[i][2] for i in idxs]
         pts = np.concatenate([prepared[i][1] for i in idxs], axis=0)
-        scores, fracs = _fused_scores(scorers, pts, sizes)
+        scores, n_oob, n_near = _fused_scores(scorers, pts, sizes)
         for j, i in enumerate(idxs):
             sc = scorers[j]
             out[i] = scores[j]
-            sc.near_fraction = float(fracs[j])
+            sc.near_fraction = float(n_oob[j] + n_near[j]) / sizes[j]
             if sc._metrics is not None:
-                sc._metrics.observe(
-                    NEAR_FRACTION_METRIC, sc.near_fraction
-                )
+                sc._observe(sc.near_fraction, n_oob[j], n_near[j])
     return out

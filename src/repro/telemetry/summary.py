@@ -185,13 +185,16 @@ def _metrics_section(record: RunRecord) -> str:
 
 def _field_section(record: RunRecord) -> str:
     """Render field-scorer telemetry when a run used ``--scoring-method
-    field``: total precomputed-map storage and the fraction of ligand
-    atoms that fell in the exact near-field regime (see
-    :mod:`repro.scoring.field`)."""
+    field``: precomputed-map storage, the built share of the box's
+    bricks, the exact-path atom fraction, and the regime counters
+    (out-of-box and near-field atoms; see :mod:`repro.scoring.field`)."""
     by_name = {m.get("name"): m for m in record.metrics}
     size = by_name.get("scoring/field_bytes")
     near = by_name.get("scoring/near_field_fraction")
-    if size is None and near is None:
+    bricks = by_name.get("scoring/field_bricks")
+    oob = by_name.get("scoring/field_oob_atoms")
+    near_atoms = by_name.get("scoring/field_near_atoms")
+    if all(m is None for m in (size, near, bricks, oob, near_atoms)):
         return ""
     lines = ["Field scorer"]
     if size is not None and size.get("value") is not None:
@@ -205,6 +208,18 @@ def _field_section(record: RunRecord) -> str:
             "  near-field (exact-path) atom fraction: "
             f"mean {_fmt(mean, '.3f')}  max {_fmt(mx, '.3f')} "
             f"over {int(near.get('count') or 0)} score calls"
+        )
+    if not (bricks is None and oob is None and near_atoms is None):
+        share = (bricks or {}).get("value")
+        share = "-" if share is None else f"{100.0 * float(share):.2f}%"
+
+        def count(m):
+            v = (m or {}).get("value")
+            return "-" if v is None else f"{int(float(v)):,}"
+
+        lines.append(
+            f"  bricks built: {share} of box   out-of-box atoms: "
+            f"{count(oob)}   near-field atoms: {count(near_atoms)}"
         )
     return "\n".join(lines)
 

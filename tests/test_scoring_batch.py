@@ -47,9 +47,15 @@ def _pose_batches(built, rng):
         # Ligand atom 0 exactly on a receptor atom: r == 0 before the
         # MIN_DISTANCE clamp, and inside the field clash radius.
         clash[j, 0] = built.receptor.coords[j * 7]
-    oob = base[None] + np.array(
-        [[200.0, 0.0, 0.0], [0.0, -250.0, 0.0], [0.0, 0.0, 300.0]]
-    ).reshape(3, 1, 3)
+    # Past the default field box on one axis each (+x, -y, +z), derived
+    # from the box rather than hard-coded offsets.
+    maps = FieldMaps(built.receptor)
+    lower = maps.origin
+    upper = maps.origin + maps.spacing * (maps.shape - 1)
+    oob = np.repeat(base[None], 3, axis=0)
+    oob[0, :, 0] += upper[0] + 1.0 - base[:, 0].min()
+    oob[1, :, 1] += lower[1] - 1.0 - base[:, 1].max()
+    oob[2, :, 2] += upper[2] + 1.0 - base[:, 2].min()
     mixed = np.concatenate([calm, clash, oob], axis=0)
     return calm, clash, oob, mixed
 
@@ -80,7 +86,7 @@ def test_empty_batch_short_circuits(small_complex, method):
     assert out.shape == (0,)
     if method == "field":
         # k == 0 must return before triggering the lazy map build.
-        assert scorer._maps.phi is None
+        assert scorer._foff is None and scorer._maps.n_built == 0
 
 
 @pytest.mark.parametrize("method", SCORING_METHODS)

@@ -19,6 +19,12 @@ The load-bearing properties (see ``repro/scoring/field.py``):
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +32,11 @@ import pytest
 from repro.config import ci_scale_config
 from repro.env.factory import make_env
 from repro.scoring.field import (
+    BRICKS_METRIC,
     FIELD_BYTES_METRIC,
+    NEAR_ATOMS_METRIC,
     NEAR_FRACTION_METRIC,
+    OOB_ATOMS_METRIC,
     FieldMaps,
     FieldScorer,
 )
@@ -69,6 +78,14 @@ def scorers(pair):
     )
 
 
+@pytest.fixture(scope="module")
+def paper_built():
+    from repro.chem.builders import build_complex
+    from repro.config import ComplexConfig
+
+    return build_complex(ComplexConfig())
+
+
 def _rot(p, axis, ang):
     axis = axis / np.linalg.norm(axis)
     c, s = np.cos(ang), np.sin(ang)
@@ -80,6 +97,39 @@ def _rot(p, axis, ang):
         + np.cross(axis, rel) * s
         + np.outer(rel @ axis, axis) * (1 - c)
     )
+
+
+def _beyond_box(maps, coords, margin: float = 1.0):
+    """``coords`` translated so every atom lies past the box's upper
+    corner on all three axes (derived from the box, not hard-coded)."""
+    upper = maps.origin + maps.spacing * (maps.shape - 1)
+    return coords + (upper + margin - coords.min(axis=0))
+
+
+def _voxel_lists(maps, pts):
+    """``(in_box, candidate lists)``: each point's voxel CSR list, read
+    from the brick layout (the bricks under ``pts`` must be built)."""
+    in_box, idx, _ = maps.locate(pts)
+    bricks, _, base_local = maps.corners(idx)
+    rows = maps.brick_slot[bricks[:, 0]]
+    assert (rows[in_box] >= 0).all()
+    lists = []
+    for row, loc, inside in zip(rows, base_local, in_box):
+        s = maps.cand_start[row, loc]
+        n = maps.cand_count[row, loc] if inside else 0
+        lists.append(maps.cand_atoms[s : s + n])
+    return in_box, lists
+
+
+def _map_digest(rec, template, coords) -> str:
+    """SHA-256 of the brick values and CSR counts built for one pose."""
+    fld = FieldScorer(rec, template)
+    fld.score(coords)
+    maps = fld.maps
+    h = hashlib.sha256(maps.values[: maps.n_built].tobytes())
+    h.update(maps.cand_count[: maps.n_built].tobytes())
+    h.update(maps.brick_slot.tobytes())
+    return h.hexdigest()
 
 
 def _drift_ok(se: float, sf: float) -> bool:
@@ -141,7 +191,8 @@ class TestAccuracy:
         # No silent boundary clamp: fully out-of-box poses are exact.
         fld, exact = scorers
         _, _, coords = pair
-        assert fld.score(coords + 500.0) == exact.score(coords + 500.0)
+        far = _beyond_box(fld.maps, coords)
+        assert fld.score(far) == exact.score(far)
         assert fld.near_fraction == 1.0
 
     def test_straddling_pose(self, scorers, pair):
@@ -149,7 +200,8 @@ class TestAccuracy:
         fld, exact = scorers
         _, _, coords = pair
         pose = coords.copy()
-        pose[: pose.shape[0] // 2] += 500.0
+        half = pose.shape[0] // 2
+        pose[:half] = _beyond_box(fld.maps, coords)[:half]
         assert _drift_ok(exact.score(pose), fld.score(pose))
         assert 0.0 < fld.near_fraction < 1.0
 
@@ -186,19 +238,13 @@ class TestClassification:
         # flagged voxel, so its overlapping pairs get corrected.
         rec, template, coords = pair
         fld = FieldScorer(rec, template, spacing=SPACING, padding=PADDING)
-        fld.score(coords)  # force build
         for _ in range(25):
             pose = coords + rng.normal(
                 scale=1.5, size=coords.shape
             ) + rng.normal(scale=3.0, size=(1, 3))
-            frac = (pose - fld.maps.origin) * fld._inv_spacing
-            in_box = (frac >= 0.0).all(axis=1) & (
-                frac <= fld._upper
-            ).all(axis=1)
-            idx = np.clip(
-                np.floor(frac).astype(np.int64), 0, fld._max_idx
-            )
-            flagged = fld._near_flat[idx @ fld._strides]
+            fld.score(pose)  # builds the bricks under the pose
+            in_box, lists = _voxel_lists(fld.maps, pose)
+            flagged = np.array([c.size > 0 for c in lists])
             dmin = np.sqrt(
                 ((pose[:, None, :] - rec.coords[None, :, :]) ** 2)
                 .sum(axis=-1)
@@ -215,23 +261,17 @@ class TestClassification:
 
         rec, template, coords = pair
         fld = FieldScorer(rec, template, spacing=SPACING, padding=PADDING)
-        fld.score(coords)
         maps = fld.maps
         cells = CellList(rec.coords, cell_size=maps.clash_radius)
         for _ in range(10):
             pose = coords + rng.normal(scale=1.0, size=coords.shape)
-            frac = (pose - maps.origin) * fld._inv_spacing
-            idx = np.clip(
-                np.floor(frac).astype(np.int64), 0, fld._max_idx
-            )
-            vox = idx @ fld._strides
+            fld.score(pose)  # builds the bricks under the pose
+            _, lists = _voxel_lists(maps, pose)
             want_r, want_p = query_pairs(
                 cells, pose, maps.clash_radius
             )
             got = set()
-            for a in range(pose.shape[0]):
-                s = maps.cand_start[vox[a]]
-                cand = maps.cand_atoms[s : s + maps.cand_count[vox[a]]]
+            for a, cand in enumerate(lists):
                 d = np.linalg.norm(
                     rec.coords[cand] - pose[a], axis=1
                 )
@@ -244,7 +284,7 @@ class TestClassification:
     def test_near_fraction_tracks_pose(self, pair):
         rec, template, coords = pair
         fld = FieldScorer(rec, template, spacing=SPACING, padding=PADDING)
-        fld.score(coords + 500.0)
+        fld.score(_beyond_box(fld.maps, coords))
         assert fld.near_fraction == 1.0
         # A pose hovering just off the receptor surface but inside the
         # padded box is fully far-field (clash radius + dilation clear).
@@ -273,7 +313,7 @@ class TestMapSharing:
 
     def test_ensure_order_independent(self, pair):
         # Maps built alongside other types == maps built alone.
-        rec, template, _ = pair
+        rec, template, coords = pair
         maps_a = FieldMaps(rec, spacing=1.0)
         maps_b = FieldMaps(rec, spacing=1.0)
         specs = [
@@ -281,28 +321,72 @@ class TestMapSharing:
             (3.1, 0.12, False, True),
             (2.8, 0.02, False, False),
         ]
-        maps_a.ensure(specs)  # one batched pass
+        maps_a.ensure(specs, coords)  # one batched pass
         for s in reversed(specs):  # three passes, reverse order
-            maps_b.ensure([s])
+            maps_b.ensure([s], coords)
         assert maps_a.build_count == 1 and maps_b.build_count == 3
-        np.testing.assert_array_equal(maps_a.phi, maps_b.phi)
-        np.testing.assert_array_equal(maps_a.near_mask, maps_b.near_mask)
-        np.testing.assert_array_equal(maps_a.cand_atoms, maps_b.cand_atoms)
-        np.testing.assert_array_equal(maps_a.cand_count, maps_b.cand_count)
-        for key in maps_a._lj:
-            for i in range(2):
-                np.testing.assert_array_equal(
-                    maps_a._lj[key][i], maps_b._lj[key][i]
-                )
-        for cls in maps_a._hb1210:
-            np.testing.assert_array_equal(
-                maps_a._hb1210[cls], maps_b._hb1210[cls]
-            )
-        for p in maps_a._hblj:
-            for i in range(2):
-                np.testing.assert_array_equal(
-                    maps_a._hblj[p][i], maps_b._hblj[p][i]
-                )
+        _assert_bricks_equal(maps_a, maps_b)
+
+    def test_brick_build_order_and_grouping_independent(self, pair, rng):
+        # The same bricks built all at once, or one point at a time in
+        # reverse order, hold bitwise-equal values and CSR lists, and
+        # score bitwise-equal.
+        rec, template, coords = pair
+        poses = [
+            coords + rng.normal(scale=2.0, size=(1, 3)) for _ in range(6)
+        ]
+        pts = np.concatenate(poses)
+        specs = FieldScorer(rec, template)._specs
+        maps_a = FieldMaps(rec, spacing=SPACING, padding=PADDING)
+        maps_b = FieldMaps(rec, spacing=SPACING, padding=PADDING)
+        maps_a.ensure(specs, pts)
+        for p in pts[::-1]:
+            maps_b.ensure(specs, p[None])
+        assert maps_a.build_count == 1 and maps_b.build_count > 1
+        _assert_bricks_equal(maps_a, maps_b)
+        fa = FieldScorer(
+            rec, template, spacing=SPACING, padding=PADDING, cells=maps_a
+        )
+        fb = FieldScorer(
+            rec, template, spacing=SPACING, padding=PADDING, cells=maps_b
+        )
+        for p in poses:
+            assert fa.score(p) == fb.score(p)  # bitwise
+        assert maps_a.n_built == maps_b.n_built  # nothing left to build
+
+    def test_map_bytes_independent_of_blas_threads(
+        self, paper_built, tmp_path
+    ):
+        # Node values come from per-node reductions that never go
+        # through BLAS, so a single-threaded BLAS builds the same bytes
+        # as this process's default threading (at paper scale, where a
+        # brick's GEMV would be large enough for BLAS to thread).
+        root = Path(__file__).resolve().parents[1]
+        lig = paper_built.ligand_initial
+        pair = (paper_built.receptor, lig, lig.coords)
+        (tmp_path / "pair.pkl").write_bytes(pickle.dumps(pair))
+        script = (
+            "import pickle, sys\n"
+            "from tests.test_scoring_field import _map_digest\n"
+            "pair = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "print(_map_digest(*pair))\n"
+        )
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+        )
+        single = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "pair.pkl")],
+            env=env,
+            cwd=root,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        assert single.stdout.strip() == _map_digest(*pair)
 
     def test_ensure_noop_when_built(self, pair):
         rec, template, coords = pair
@@ -324,7 +408,7 @@ class TestMapSharing:
         batch = np.concatenate(
             [
                 coords[None] + rng.normal(scale=0.8, size=(5, 1, 3)),
-                coords[None] + 500.0,
+                _beyond_box(fld.maps, coords)[None],
             ]
         )
         singles = np.array([fld.score(c) for c in batch])
@@ -363,20 +447,41 @@ class TestMapSharing:
             rec, template, spacing=1.0, padding=PADDING, dtype="float32"
         )
         s64, s32 = f64.score(coords), f32.score(coords)
-        # The clash-voxel table (bool mask + integer CSR) is dtype-
-        # independent; the float maps themselves halve exactly.
+        # The brick table and the clash-voxel CSR (integer) are dtype-
+        # independent; the float brick values themselves halve exactly.
         m64, m32 = f64.maps, f32.maps
-        fixed = sum(
-            a.nbytes
-            for a in (
-                m64.near_mask,
-                m64.cand_start,
-                m64.cand_count,
-                m64.cand_atoms,
-            )
-        )
+        fixed = m64.nbytes() - m64.values.nbytes
         assert (m32.nbytes() - fixed) * 2 == m64.nbytes() - fixed
         assert s32 == pytest.approx(s64, rel=1e-3, abs=1.0)
+
+
+def _assert_bricks_equal(maps_a, maps_b):
+    """Same built bricks with bitwise-equal phi, per-spec combined
+    values and CSR candidate lists, whatever the rows and spec slots."""
+    built = np.flatnonzero(maps_a.brick_slot >= 0)
+    np.testing.assert_array_equal(
+        built, np.flatnonzero(maps_b.brick_slot >= 0)
+    )
+    assert set(maps_a._slot) == set(maps_b._slot)
+    for brick in built:
+        ra, rb = maps_a.brick_slot[brick], maps_b.brick_slot[brick]
+        np.testing.assert_array_equal(
+            maps_a.values[ra, 0], maps_b.values[rb, 0]
+        )
+        for spec in maps_a._slot:
+            np.testing.assert_array_equal(
+                maps_a.values[ra, 1 + maps_a.slot_of(spec)],
+                maps_b.values[rb, 1 + maps_b.slot_of(spec)],
+            )
+        np.testing.assert_array_equal(
+            maps_a.cand_count[ra], maps_b.cand_count[rb]
+        )
+        for loc in range(maps_a.cand_count.shape[1]):
+            sa, sb = maps_a.cand_start[ra, loc], maps_b.cand_start[rb, loc]
+            n = maps_a.cand_count[ra, loc]
+            np.testing.assert_array_equal(
+                maps_a.cand_atoms[sa : sa + n], maps_b.cand_atoms[sb : sb + n]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +533,9 @@ class TestPlumbing:
     def test_lazy_build(self, pair):
         rec, template, coords = pair
         fld = FieldScorer(rec, template, spacing=SPACING, padding=PADDING)
-        assert fld._foff is None and fld._maps.phi is None
+        assert fld._foff is None and fld._maps.n_built == 0
         fld.score(coords)
-        assert fld._foff is not None and fld._flat is not None
+        assert fld._foff is not None and fld._maps.n_built > 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +574,92 @@ class TestTelemetry:
         reg = MetricsRegistry()
         fld.metrics = reg
         assert reg.get(FIELD_BYTES_METRIC).value > 0.0
+
+    def test_regime_counters_and_bricks_gauge(self, pair):
+        from repro.telemetry.metrics import MetricsRegistry
+
+        rec, template, coords = pair
+        straddle = coords.copy()
+        half = coords.shape[0] // 2
+        clash = coords - coords.mean(axis=0) + rec.coords[0]
+        poses = np.stack([coords, straddle, clash])
+        regs = []
+        for batched in (False, True):
+            fld = FieldScorer(rec, template, spacing=SPACING, padding=PADDING)
+            poses[1, :half] = _beyond_box(fld.maps, coords)[:half]
+            reg = MetricsRegistry()
+            fld.metrics = reg
+            if batched:
+                fld.score_batch(poses)
+            else:
+                for p in poses:
+                    fld.score(p)
+            maps = fld.maps
+            assert reg.get(BRICKS_METRIC).value == (
+                maps.n_built / maps.n_bricks
+            )
+            assert 0.0 < reg.get(BRICKS_METRIC).value < 1.0
+            assert reg.get(FIELD_BYTES_METRIC).value == maps.nbytes()
+            assert reg.get(OOB_ATOMS_METRIC).value == half
+            assert reg.get(NEAR_ATOMS_METRIC).value > 0
+            regs.append(reg)
+        # Batch mode adds exactly what sequential calls add.
+        for name in (OOB_ATOMS_METRIC, NEAR_ATOMS_METRIC):
+            assert regs[0].get(name).value == regs[1].get(name).value
+
+
+# ---------------------------------------------------------------------------
+# the box covers the episode; lazy bricks cover only what is visited
+
+
+class TestEpisodeBox:
+    def test_escape_sphere_inside_default_box(self, paper_built):
+        # Every atom of a library ligand whose COM sits one step past
+        # the escape sphere (4/3 x its initial COM distance, any
+        # orientation) is inside the default box, so episodes never
+        # take the out-of-box exact path.
+        from repro.chem.transforms import random_rotation
+        from repro.metadock.library import generate_library
+        from repro.metadock.screening import _engine_for
+
+        maps = FieldMaps(paper_built.receptor)
+        rng = np.random.default_rng(7)
+        dirs = np.concatenate(
+            [np.eye(3), -np.eye(3), rng.normal(size=(20, 3))]
+        )
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        library = generate_library(
+            paper_built.config, 8, seed=0, max_atoms=45
+        )
+        for entry in library:
+            eng = _engine_for(paper_built, entry.ligand)
+            reach = 4.0 / 3.0 * eng.initial_com_distance() + 1.0
+            lig = eng.built.ligand_initial
+            rel = lig.coords - lig.center_of_mass()
+            for d in dirs:
+                rot = random_rotation(rng)
+                pose = rel @ rot.T + eng.receptor_com + reach * d
+                assert maps.locate(pose)[0].all(), (entry.compound_id, d)
+        assert maps.n_built == 0  # locating builds nothing
+
+    def test_walk_builds_a_small_share_of_the_box(self, paper_built):
+        lig = paper_built.ligand_initial
+        fld = FieldScorer(paper_built.receptor, lig)
+        rng = np.random.default_rng(3)
+        pose = lig.coords.copy()
+        for _ in range(200):
+            step = rng.normal(size=3)
+            pose = pose + step / np.linalg.norm(step)
+            fld.score(pose)
+        maps = fld.maps
+        full_box = (
+            maps.n_bricks
+            * maps.values.shape[1]
+            * maps.values.shape[2]
+            * maps.values.itemsize
+        )
+        assert fld.near_fraction == 0.0
+        assert maps.nbytes() < 0.1 * full_box
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,27 @@ class TestRenderSummary:
         assert "speedup_incremental_vs_exact" in out
         assert "8.9" in out
 
+    def test_field_scorer_section_rendered(self, tmp_path):
+        # Field runs render the map size, exact-path fraction, built
+        # share of the box's bricks and the regime counters.
+        d = make_golden_run(tmp_path)
+        with open(d / "metrics.csv", "a") as fh:
+            fh.write(
+                "scoring/field_bytes,gauge,3,2097152.0,,,,,,,\n"
+                "scoring/field_bricks,gauge,3,0.0125,,,,,,,\n"
+                "scoring/field_oob_atoms,counter,12,0.0,,,,,,,\n"
+                "scoring/field_near_atoms,counter,12,1234.0,,,,,,,\n"
+                "scoring/near_field_fraction,histogram,12,,0.05,0.01,"
+                "0.0,0.2,0.0,0.1,0.2\n"
+            )
+        out = render_summary(d)
+        assert "Field scorer" in out
+        assert "precomputed maps: 2.0 MiB" in out
+        assert (
+            "bricks built: 1.25% of box   out-of-box atoms: 0   "
+            "near-field atoms: 1,234"
+        ) in out
+
     def test_unreadable_bench_artifact_noted(self, tmp_path):
         d = make_golden_run(tmp_path)
         (d / "BENCH_vector_env.json").write_text("{not json")
